@@ -1,9 +1,15 @@
 """Volt-Var / Volt-Watt droop baseline.
 
-Each hub inverter reads only its own bus voltage and maps it through a
+Each hub inverter reads only its own bus voltage and maps it through one
 piecewise-linear curve: zero inside the deadband around 1.0 p.u., a
 single linear ramp to full output at the saturation voltage, clamped
-beyond. Positive output injects (supports undervoltage).
+beyond. The same normalized output sets both the active (Volt-Watt) and
+the reactive (Volt-Var) setpoint, scaled by the hub's P and Q ratings.
+Positive output injects (supports undervoltage).
+
+`DroopCurve` is also the scenario's `[droop]` section: `fixed_point`
+asks the evaluation harness to iterate the response against the grid
+until it reproduces itself.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ class DroopCurve:
     deadband_pu: float = 0.02
     v_sat_low_pu: float = 0.90
     v_sat_high_pu: float = 1.10
-    output_max: float = 1.0
+    fixed_point: bool = False
 
     def __post_init__(self):
         if not 0 < self.deadband_pu < 1.0 - self.v_sat_low_pu:
@@ -28,7 +34,8 @@ class DroopCurve:
             raise ValueError("saturation voltages must bracket 1.0")
 
 
-def _normalized(curve: DroopCurve, v_pu: float) -> float:
+def droop_output(curve: DroopCurve, v_pu: float) -> float:
+    """Normalized output in [-1, 1] for a measured voltage."""
     if v_pu <= 0:
         raise ValueError("voltage must be positive")
     lo_edge = 1.0 - curve.deadband_pu
@@ -42,30 +49,15 @@ def _normalized(curve: DroopCurve, v_pu: float) -> float:
     return -min(out, 1.0)
 
 
-def volt_var(curve: DroopCurve, v_pu: float) -> float:
-    """Normalized reactive output in [-1, 1] for a measured voltage."""
-    return _normalized(curve, v_pu) * curve.output_max
-
-
-def volt_watt(curve: DroopCurve, v_pu: float) -> float:
-    """Normalized active output in [-1, 1]; same ramp geometry as volt_var."""
-    return _normalized(curve, v_pu) * curve.output_max
-
-
 def droop_control(
     hubs: Iterable[Hub],
     solution: PowerFlowSolution,
-    p_curve: DroopCurve | None = None,
-    q_curve: DroopCurve | None = None,
+    curve: DroopCurve | None = None,
 ) -> dict[str, tuple[float, float]]:
     """Per-hub (P_kw, Q_kvar) setpoints from each hub's own bus voltage."""
-    p_curve = p_curve or DroopCurve()
-    q_curve = q_curve or DroopCurve()
+    curve = curve or DroopCurve()
     setpoints: dict[str, tuple[float, float]] = {}
     for hub in hubs:
-        v = solution.voltage_at(hub.bus)
-        setpoints[hub.bus] = (
-            volt_watt(p_curve, v) * hub.p_max_kw,
-            volt_var(q_curve, v) * hub.q_max_kvar,
-        )
+        out = droop_output(curve, solution.voltage_at(hub.bus))
+        setpoints[hub.bus] = (out * hub.p_max_kw, out * hub.q_max_kvar)
     return setpoints

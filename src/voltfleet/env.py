@@ -149,17 +149,24 @@ class V2GEnv:
     def action_size(self) -> int:
         return 2 * len(self.hubs)
 
+    def _require_reset(self) -> None:
+        if self._obs is None:
+            raise RuntimeError("environment not started; call reset() first")
+
     @property
     def current_lambda(self) -> float:
+        self._require_reset()
         return self._lam
 
     @property
     def current_hour(self) -> int:
+        self._require_reset()
         return self._hour
 
     @property
     def current_solution(self):
         """Uncontrolled solve at the loading the last observation came from."""
+        self._require_reset()
         return self._sol
 
     def _solve(self, injections=None):

@@ -1,10 +1,12 @@
 """EV fleet battery model and hub-level power allocation.
 
-Each hub aggregates EV units behind one inverter. A grid-side power
-request is translated to a battery-side draw via apparent power and
-inverter efficiency; when the request exceeds what the available units
-can deliver, a scaling ratio rho shrinks the delivered (P, Q) pair
-while preserving its power factor.
+Each hub aggregates a uniform fleet of EVs behind one inverter. The
+fleet is a struct of arrays: per-EV `soc`, `soh` and `available`, plus
+the pack capacity, C-rate and inverter efficiency shared by all its
+EVs. A grid-side power request is translated to a battery-side draw via
+apparent power and inverter efficiency; when the request exceeds what
+the available EVs can deliver, a scaling ratio rho shrinks the delivered
+(P, Q) pair while preserving its power factor.
 
 Sign conventions: requested/delivered P is grid-side, positive =
 inject into the grid (discharges batteries). Per-EV battery power is
@@ -14,19 +16,9 @@ positive when charging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class EvUnit:
-    capacity_kwh: float
-    soc: float
-    soh: float
-    c_rate_limit: float = 0.5
-    pack_voltage_v: float = 400.0  # informational; energy-form model
-    available: bool = True
 
 
 @dataclass(frozen=True)
@@ -37,25 +29,46 @@ class DegradationParams:
 
 @dataclass
 class FleetState:
-    """Mutable owner of the per-hub EV collection.
+    """Mutable per-hub fleet: one array entry per EV.
 
     `order` is a seed-fixed permutation; availability marks the first
-    floor(fraction * N) units of that order, so runs are reproducible.
+    floor(fraction * N) EVs of that order, so runs are reproducible.
     """
 
-    evs: list[EvUnit]
+    soc: np.ndarray
+    soh: np.ndarray
+    capacity_kwh: float = 75.0
+    c_rate: float = 0.5
     eta_inv: float = 0.96
     availability_schedule: tuple[float, ...] = (1.0,) * 24
-    order: tuple[int, ...] = ()
+    order: np.ndarray | None = None
+    available: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.soc = np.array(self.soc, dtype=float)
+        self.soh = np.array(self.soh, dtype=float)
+        n = self.soc.size
+        if self.soc.shape != (n,) or self.soh.shape != (n,):
+            raise ValueError("soc and soh must be 1-D arrays of equal length")
+        if not np.all((self.soc >= 0.0) & (self.soc <= 1.0)):
+            raise ValueError("soc must lie in [0, 1]")
+        if not np.all((self.soh > 0.0) & (self.soh <= 1.0)):
+            raise ValueError("soh must lie in (0, 1]")
+        if not self.capacity_kwh > 0:
+            raise ValueError("capacity_kwh must be positive")
+        if not self.c_rate > 0:
+            raise ValueError("c_rate must be positive")
         if not 0 < self.eta_inv <= 1:
             raise ValueError("eta_inv must be in (0, 1]")
+        if not self.availability_schedule:
+            raise ValueError("availability schedule needs at least one fraction")
         for f in self.availability_schedule:
             if not 0 <= f <= 1:
                 raise ValueError("availability fractions must be in [0, 1]")
-        if not self.order:
-            self.order = tuple(range(len(self.evs)))
+        self.order = np.arange(n) if self.order is None else np.array(self.order, dtype=int)
+        if not np.array_equal(np.sort(self.order), np.arange(n)):
+            raise ValueError("order must be a permutation of the EV indices")
+        self.available = np.ones(n, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -66,55 +79,26 @@ class AllocationResult:
     p_fleet_kw: float  # battery-side apparent-power draw
 
 
-def battery_power_capability(ev: EvUnit, discharge: bool = True) -> float:
-    """Deliverable battery power (kW) in the given direction.
+def capability(fleet: FleetState, discharge: bool = True) -> np.ndarray:
+    """Deliverable battery power (kW) of each EV in the given direction.
 
     min(P_voltage, P_current): P_current = c_rate * capacity * soh;
     P_voltage tapers it linearly near the SOC rail being approached
-    (below 0.1 when discharging, above 0.9 when charging).
+    (below 0.1 when discharging, above 0.9 when charging). EVs not
+    available this hour deliver nothing.
     """
-    if not ev.available:
-        return 0.0
-    p_current = ev.c_rate_limit * ev.capacity_kwh * ev.soh
-    if discharge:
-        taper = min(ev.soc / 0.1, 1.0)
-    else:
-        taper = min((1.0 - ev.soc) / 0.1, 1.0)
-    return p_current * max(taper, 0.0)
-
-
-def step_battery(
-    ev: EvUnit, p_bat_kw: float, dt_h: float, deg: DegradationParams
-) -> EvUnit:
-    """Advance one EV by dt_h at signed battery power (positive charges)."""
-    if dt_h <= 0:
-        raise ValueError("dt_h must be positive")
-    cap = battery_power_capability(ev, discharge=p_bat_kw < 0)
-    if abs(p_bat_kw) > cap + 1e-9:
-        raise ValueError(
-            f"battery power {p_bat_kw:.3f} kW exceeds capability {cap:.3f} kW"
-        )
-    usable = ev.capacity_kwh * ev.soh
-    soc = min(max(ev.soc + p_bat_kw * dt_h / usable, 0.0), 1.0)
-    soh = ev.soh - deg.cycle_coeff * abs(p_bat_kw) * dt_h / ev.capacity_kwh
-    soh -= deg.calendar_coeff * dt_h
-    return replace(ev, soc=soc, soh=max(soh, 1e-9))
+    p_current = fleet.c_rate * fleet.capacity_kwh * fleet.soh
+    rail_gap = fleet.soc if discharge else 1.0 - fleet.soc
+    taper = np.maximum(np.minimum(rail_gap / 0.1, 1.0), 0.0)
+    return np.where(fleet.available, p_current * taper, 0.0)
 
 
 def mark_availability(fleet: FleetState, hour: int) -> None:
-    """Flag the first floor(fraction * N) units of the fixed order."""
+    """Flag the first floor(fraction * N) EVs of the fixed order."""
     frac = fleet.availability_schedule[hour % len(fleet.availability_schedule)]
-    n_avail = int(math.floor(frac * len(fleet.evs) + 1e-9))
-    chosen = set(fleet.order[:n_avail])
-    for i, ev in enumerate(fleet.evs):
-        fleet.evs[i] = replace(ev, available=i in chosen)
-
-
-def fleet_available_power(
-    fleet: FleetState, hour: int, discharge: bool = True
-) -> float:
-    mark_availability(fleet, hour)
-    return sum(battery_power_capability(ev, discharge) for ev in fleet.evs)
+    n_avail = int(math.floor(frac * fleet.soc.size + 1e-9))
+    fleet.available[:] = False
+    fleet.available[fleet.order[:n_avail]] = True
 
 
 def allocate(
@@ -127,29 +111,33 @@ def allocate(
 ) -> AllocationResult:
     """Scale a grid-side request to fleet capability and age the fleet.
 
-    Every EV is stepped each call: participating units carry their
+    Every EV is stepped each call: participating EVs carry their
     proportional share of the battery draw, the rest idle (calendar
     aging only). Infeasible requests are scaled by rho, never rejected.
     """
+    if dt_h <= 0:
+        raise ValueError("dt_h must be positive")
     deg = deg or DegradationParams()
     s_req = math.hypot(p_req_kw, q_req_kvar)
     p_fleet = s_req / fleet.eta_inv
     discharge = p_req_kw >= 0  # zero-P reactive service still drains via s_req
 
-    p_avail = fleet_available_power(fleet, hour, discharge)
-    if s_req == 0.0:
-        rho = 1.0
-    else:
-        rho = min(1.0, p_avail / p_fleet)
+    mark_availability(fleet, hour)
+    caps = capability(fleet, discharge)
+    # summed in EV order, one addition at a time, so rho is reproducible
+    p_avail = sum(caps.tolist())
+    rho = 1.0 if s_req == 0.0 else min(1.0, p_avail / p_fleet)
     drawn = rho * p_fleet
 
-    caps = [battery_power_capability(ev, discharge) for ev in fleet.evs]
-    total_cap = sum(caps)
-    assert drawn <= total_cap + 1e-6, "allocation exceeded fleet capability"
-    for i, ev in enumerate(fleet.evs):
-        share = drawn * caps[i] / total_cap if total_cap > 0 else 0.0
-        p_bat = -share if discharge else share
-        fleet.evs[i] = step_battery(ev, p_bat, dt_h, deg)
+    share = drawn * caps / p_avail if p_avail > 0 else np.zeros_like(caps)
+    if np.any(share > caps + 1e-9):
+        raise ValueError("allocation exceeded an EV's battery power capability")
+    p_bat = -share if discharge else share
+    usable = fleet.capacity_kwh * fleet.soh
+    fleet.soc = np.clip(fleet.soc + p_bat * dt_h / usable, 0.0, 1.0)
+    soh = fleet.soh - deg.cycle_coeff * np.abs(p_bat) * dt_h / fleet.capacity_kwh
+    soh -= deg.calendar_coeff * dt_h
+    fleet.soh = np.maximum(soh, 1e-9)
 
     return AllocationResult(
         p_sup_kw=rho * p_req_kw,
@@ -157,13 +145,3 @@ def allocate(
         rho=rho,
         p_fleet_kw=drawn,
     )
-
-
-def mean_soc(fleet: FleetState) -> float:
-    if not fleet.evs:
-        return 0.0
-    return float(np.mean([ev.soc for ev in fleet.evs]))
-
-
-def participating_count(fleet: FleetState) -> int:
-    return sum(1 for ev in fleet.evs if ev.available)

@@ -7,9 +7,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..droop import DroopCurve, droop_control
+from ..droop import droop_control
 from ..env import V2GEnv, config_from_scenario
-from ..fleet import DegradationParams, mark_availability, mean_soc, participating_count
+from ..fleet import DegradationParams, mark_availability
 from ..grid import scale_loads, solve_power_flow
 from ..scenario import Scenario, build_fleets
 from .metrics import DayMetrics, compute_metrics
@@ -53,14 +53,6 @@ class RunResult:
         return self.controller + ("+ev" if self.ev_constrained else "")
 
 
-def _droop_curves(scenario: Scenario) -> tuple[DroopCurve, DroopCurve]:
-    d = scenario.droop
-    curve = DroopCurve(
-        deadband_pu=d.deadband, v_sat_low_pu=d.v_sat_low, v_sat_high_pu=d.v_sat_high
-    )
-    return curve, curve
-
-
 def _droop_action(env: V2GEnv, scenario: Scenario) -> np.ndarray:
     """Normalized action realizing the droop response to the observed voltages.
 
@@ -68,10 +60,9 @@ def _droop_action(env: V2GEnv, scenario: Scenario) -> np.ndarray:
     until the voltages it was computed from stop moving, so the setpoint
     handed to the environment reproduces itself under the final solve.
     """
-    p_curve, q_curve = _droop_curves(scenario)
-    sol = env.current_solution
-    setpoints = droop_control(env.hubs, sol, p_curve=p_curve, q_curve=q_curve)
-    if scenario.droop.fixed_point:
+    curve = scenario.droop
+    setpoints = droop_control(env.hubs, env.current_solution, curve)
+    if curve.fixed_point:
         # damped iteration: the raw response map oscillates on stiff feeders
         feeder = env.config.feeder
         demands = scale_loads(feeder, env.current_lambda)
@@ -79,7 +70,7 @@ def _droop_action(env: V2GEnv, scenario: Scenario) -> np.ndarray:
             nxt = solve_power_flow(feeder, demands, hub_injections=setpoints)
             if not nxt.converged:
                 break
-            target = droop_control(env.hubs, nxt, p_curve=p_curve, q_curve=q_curve)
+            target = droop_control(env.hubs, nxt, curve)
             gap = max(
                 max(abs(target[b][0] - setpoints[b][0]),
                     abs(target[b][1] - setpoints[b][1]))
@@ -109,9 +100,10 @@ def _fleet_snapshot(env: V2GEnv, hour: int) -> tuple[float | None, int]:
     socs, count = [], 0
     for fleet in env.fleets.values():
         mark_availability(fleet, hour)
-        socs.append(mean_soc(fleet) * len(fleet.evs))
-        count += participating_count(fleet)
-    total_evs = sum(len(f.evs) for f in env.fleets.values())
+        if fleet.soc.size:
+            socs.append(float(np.mean(fleet.soc)) * fleet.soc.size)
+        count += int(fleet.available.sum())
+    total_evs = sum(f.soc.size for f in env.fleets.values())
     return (sum(socs) / total_evs if total_evs else None), count
 
 

@@ -11,12 +11,15 @@ def load_profile(name_or_path: str | Path) -> tuple[float, ...]:
     """24 hourly multipliers from a `hour,lambda` CSV; `#` comments allowed."""
     path = profile_path(str(name_or_path))
     values: dict[int, float] = {}
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body or body.lower().startswith("hour"):
             continue
-        hour_tok, lam_tok = [t for t in body.replace(",", " ").split()]
-        values[int(hour_tok)] = float(lam_tok)
+        try:
+            hour_tok, lam_tok = body.replace(",", " ").split()
+            values[int(hour_tok)] = float(lam_tok)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: expected `hour,lambda`, got {raw!r}") from exc
     if sorted(values) != list(range(24)):
         raise ValueError(f"profile {name_or_path!r} must define hours 0..23 exactly")
     lams = tuple(values[h] for h in range(24))
@@ -24,8 +27,3 @@ def load_profile(name_or_path: str | Path) -> tuple[float, ...]:
         raise ValueError("load multipliers must be >= 0")
     return lams
 
-
-def daily_profile(kind: str, hour: int) -> float:
-    if not 0 <= hour < 24:
-        raise ValueError("hour must be in [0, 24)")
-    return load_profile(kind)[hour]

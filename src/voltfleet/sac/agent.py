@@ -135,14 +135,21 @@ class SacAgent:
         critic_loss.backward()
         self.critic_opt.step()
 
-        # actor; q grads from this pass are discarded by the next zero_grad
+        # actor; the critics only pass the gradient through to the action,
+        # so their weights are frozen for this pass and get no gradient
         self.actor_opt.zero_grad()
         self.critic_opt.zero_grad()
-        eps_pi = self._noise_rng.standard_normal((n, self.act_dim))
-        pi_a, logp = self.policy.sample(obs, eps_pi)
-        q_pi = minimum(self.q1.forward(obs, pi_a), self.q2.forward(obs, pi_a))
-        actor_loss = (logp * self.alpha - q_pi).mean()
-        actor_loss.backward()
+        for p in self.critic_opt.params:
+            p.requires_grad = False
+        try:
+            eps_pi = self._noise_rng.standard_normal((n, self.act_dim))
+            pi_a, logp = self.policy.sample(obs, eps_pi)
+            q_pi = minimum(self.q1.forward(obs, pi_a), self.q2.forward(obs, pi_a))
+            actor_loss = (logp * self.alpha - q_pi).mean()
+            actor_loss.backward()
+        finally:
+            for p in self.critic_opt.params:
+                p.requires_grad = True
         self.actor_opt.step()
 
         # temperature, driven toward the entropy target

@@ -61,8 +61,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one pass, same bits as zeros + g (a -0.0 entry becomes +0.0)
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -171,7 +173,11 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * mask)
 
-        return Tensor._result(np.where(mask, self.data, 0.0), (self,), backward)
+        # the bits of where(mask, x, 0.0) without its slow masked select:
+        # fmax maps NaN to 0, and + 0.0 turns -0.0 into +0.0
+        y = np.fmax(self.data, 0.0)
+        y += 0.0
+        return Tensor._result(y, (self,), backward)
 
     def tanh(self):
         y = np.tanh(self.data)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fleet import EvUnit, FleetState
+from .droop import DroopCurve
+from .fleet import FleetState
 from .grid import Feeder, load_feeder_file
 from .profiles import load_profile
 from .resources import feeder_path, scenario_path
@@ -31,6 +32,14 @@ class FleetSpec:
     def __post_init__(self):
         if self.ev_count < 0:
             raise ValueError("ev_count must be >= 0")
+        if not self.capacity_kwh > 0:
+            raise ValueError("capacity_kwh must be positive")
+        if not self.c_rate > 0:
+            raise ValueError("c_rate must be positive")
+        if not 0.0 < self.soh_init <= 1.0:
+            raise ValueError("soh_init must lie in (0, 1]")
+        if not 0.0 < self.eta_inv <= 1.0:
+            raise ValueError("eta_inv must lie in (0, 1]")
         lo, hi = self.soc_init
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("soc_init bounds must satisfy 0 <= lo <= hi <= 1")
@@ -38,14 +47,6 @@ class FleetSpec:
             raise ValueError("availability needs 24 hourly fractions")
         if any(not 0.0 <= a <= 1.0 for a in self.availability):
             raise ValueError("availability fractions must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DroopSpec:
-    deadband: float = 0.02
-    v_sat_low: float = 0.90
-    v_sat_high: float = 1.10
-    fixed_point: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class Scenario:
     nonconvergence_penalty: float = -1000.0
     seed: int = 0
     fleet: FleetSpec = field(default_factory=FleetSpec)
-    droop: DroopSpec = field(default_factory=DroopSpec)
+    droop: DroopCurve = field(default_factory=DroopCurve)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -92,11 +93,11 @@ def _parse_fleet(sec) -> FleetSpec:
     )
 
 
-def _parse_droop(sec) -> DroopSpec:
-    return DroopSpec(
-        deadband=sec.getfloat("deadband", 0.02),
-        v_sat_low=sec.getfloat("v_sat_low", 0.90),
-        v_sat_high=sec.getfloat("v_sat_high", 1.10),
+def _parse_droop(sec) -> DroopCurve:
+    return DroopCurve(
+        deadband_pu=sec.getfloat("deadband", 0.02),
+        v_sat_low_pu=sec.getfloat("v_sat_low", 0.90),
+        v_sat_high_pu=sec.getfloat("v_sat_high", 1.10),
         fixed_point=sec.getboolean("fixed_point", False),
     )
 
@@ -197,19 +198,13 @@ def build_fleets(
         rng = np.random.default_rng(child)
         count = base + (1 if i < extra else 0)
         socs = rng.uniform(spec.soc_init[0], spec.soc_init[1], size=count)
-        evs = [
-            EvUnit(
-                capacity_kwh=spec.capacity_kwh,
-                soc=float(s),
-                soh=spec.soh_init,
-                c_rate_limit=spec.c_rate,
-            )
-            for s in socs
-        ]
         fleets[bus] = FleetState(
-            evs=evs,
+            soc=socs,
+            soh=np.full(count, spec.soh_init),
+            capacity_kwh=spec.capacity_kwh,
+            c_rate=spec.c_rate,
             eta_inv=spec.eta_inv,
             availability_schedule=spec.availability,
-            order=tuple(int(k) for k in rng.permutation(count)),
+            order=rng.permutation(count),
         )
     return fleets

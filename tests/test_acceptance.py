@@ -14,14 +14,14 @@ from nr_oracle import solve_newton
 from test_autodiff import fd_check
 from test_power_flow import random_radial_feeder, two_bus, two_bus_closed_form
 
-from voltfleet.droop import DroopCurve, volt_var
+from voltfleet.droop import DroopCurve, droop_output
 from voltfleet.env import (
     V2GEnv,
     action_to_setpoints,
     config_from_scenario,
     reward_from_voltages,
 )
-from voltfleet.fleet import EvUnit, FleetState, allocate
+from voltfleet.fleet import FleetState, allocate
 from voltfleet.grid import Hub, scale_loads, solve_power_flow
 from voltfleet.harness import build_report, evaluate
 from voltfleet.harness.cli import main
@@ -62,8 +62,7 @@ def test_criterion_2_exact_arithmetic_examples():
 
     # fleet allocation, 3-4-5 request through a 0.96 inverter
     ample = FleetState(
-        evs=[EvUnit(capacity_kwh=75.0, soc=0.5, soh=1.0) for _ in range(20)],
-        eta_inv=0.96,
+        soc=[0.5] * 20, soh=[1.0] * 20, capacity_kwh=75.0, eta_inv=0.96
     )
     res = allocate(300.0, 400.0, ample, hour=12)
     assert abs(res.rho - 1.0) < tol
@@ -73,7 +72,7 @@ def test_criterion_2_exact_arithmetic_examples():
 
     # exactly half the needed capability -> rho 0.5, delivered scaled
     half = FleetState(
-        evs=[EvUnit(capacity_kwh=3125.0 / 6.0, soc=0.5, soh=1.0)], eta_inv=0.96
+        soc=[0.5], soh=[1.0], capacity_kwh=3125.0 / 6.0, eta_inv=0.96
     )
     res = allocate(300.0, 400.0, half, hour=12)
     assert abs(res.rho - 0.5) < tol
@@ -83,7 +82,7 @@ def test_criterion_2_exact_arithmetic_examples():
     # droop pointwise outputs
     curve = DroopCurve()
     for v, out in [(1.0, 0.0), (0.90, 1.0), (1.10, -1.0), (0.94, 0.5), (1.06, -0.5)]:
-        assert abs(volt_var(curve, v) - out) < tol
+        assert abs(droop_output(curve, v) - out) < tol
 
     # normalized action -> kW/kVAr on a 500/400 hub
     hub = (Hub("h", 500.0, 400.0),)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voltfleet.droop import DroopCurve, droop_control, volt_var, volt_watt
+from voltfleet.droop import DroopCurve, droop_control, droop_output
 from voltfleet.grid import Hub, PowerFlowSolution
 
 CURVE = DroopCurve()
@@ -23,27 +23,26 @@ CURVE = DroopCurve()
     ],
 )
 def test_curve_points(v, expected):
-    assert volt_var(CURVE, v) == pytest.approx(expected, abs=1e-12)
-    assert volt_watt(CURVE, v) == pytest.approx(expected, abs=1e-12)
+    assert droop_output(CURVE, v) == pytest.approx(expected, abs=1e-12)
 
 
 def test_continuity_on_dense_grid():
     vs = np.linspace(0.85, 1.15, 6001)
-    outs = np.array([volt_var(CURVE, float(v)) for v in vs])
+    outs = np.array([droop_output(CURVE, float(v)) for v in vs])
     assert np.max(np.abs(np.diff(outs))) < 1.0 / 60  # no jumps at breakpoints
 
 
 def test_odd_symmetry_about_nominal():
     for d in np.linspace(0.0, 0.10, 101):
-        lo = volt_var(CURVE, 1.0 - d)
-        hi = volt_var(CURVE, 1.0 + d)
+        lo = droop_output(CURVE, 1.0 - d)
+        hi = droop_output(CURVE, 1.0 + d)
         assert lo == pytest.approx(-hi, abs=1e-12)
 
 
 def test_output_range_bounded():
     rng = np.random.default_rng(3)
     for v in rng.uniform(0.5, 1.5, 500):
-        assert -1.0 <= volt_var(CURVE, float(v)) <= 1.0
+        assert -1.0 <= droop_output(CURVE, float(v)) <= 1.0
 
 
 def test_invalid_curve_rejected():

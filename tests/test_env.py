@@ -11,7 +11,7 @@ from voltfleet.env import (
     config_from_scenario,
     reward_from_voltages,
 )
-from voltfleet.fleet import EvUnit, FleetState
+from voltfleet.fleet import FleetState
 from voltfleet.grid import load_feeder_file, scale_loads, solve_power_flow
 from voltfleet.resources import feeder_path
 from voltfleet.scenario import build_fleets, load_scenario
@@ -86,6 +86,15 @@ def test_config_validation(two_bus):
 def test_phase2_requires_fleets(two_bus):
     with pytest.raises(ValueError, match="fleet"):
         V2GEnv(eval_config(two_bus, phase=2))
+
+
+@pytest.mark.parametrize("name", ["current_lambda", "current_hour", "current_solution"])
+def test_state_before_reset_is_an_error(two_bus, name):
+    env = V2GEnv(eval_config(two_bus))
+    with pytest.raises(RuntimeError, match=r"reset\(\) first"):
+        getattr(env, name)
+    env.reset()
+    getattr(env, name)
 
 
 def test_reset_returns_uncontrolled_voltages(two_bus):
@@ -247,8 +256,7 @@ def test_phase2_matches_phase1_with_ample_fleet():
 
 def test_phase2_scales_delivery_when_fleet_is_small(five_bus):
     tiny = FleetState(
-        evs=[EvUnit(capacity_kwh=20.0, soc=0.5, soh=1.0, c_rate_limit=0.5)],
-        eta_inv=0.96,
+        soc=[0.5], soh=[1.0], capacity_kwh=20.0, c_rate=0.5, eta_inv=0.96
     )
     cfg = train_config(
         five_bus, lam_range=(1.0, 1.0), lambda_mode="per_episode", phase=2

@@ -127,8 +127,7 @@ def test_fixed_point_droop_self_consistent(five_bus_scenario):
     setpoint = (action[0] * hub.p_max_kw, action[1] * hub.q_max_kvar)
     demands = scale_loads(sc.feeder, env.current_lambda)
     sol = solve_power_flow(sc.feeder, demands, hub_injections={hub.bus: setpoint})
-    curve = DroopCurve()
-    again = droop_control(env.hubs, sol, p_curve=curve, q_curve=curve)[hub.bus]
+    again = droop_control(env.hubs, sol, DroopCurve())[hub.bus]
     assert again[0] == pytest.approx(setpoint[0], abs=0.5)  # kW scale
     assert again[1] == pytest.approx(setpoint[1], abs=0.5)
 

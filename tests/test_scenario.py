@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from voltfleet.profiles import daily_profile, load_profile
+from voltfleet.profiles import load_profile
 from voltfleet.scenario import build_fleets, load_scenario
 
 SHIPPED = [
@@ -57,10 +57,13 @@ def test_profile_negative_rejected(tmp_path):
         load_profile(p)
 
 
-def test_daily_profile_lookup_and_bounds():
-    assert daily_profile("mild", 19) == 1.5
-    with pytest.raises(ValueError):
-        daily_profile("mild", 24)
+def test_profile_row_with_extra_field_names_file_and_line(tmp_path):
+    rows = ["hour,lambda"] + [f"{h},1.0" for h in range(24)]
+    rows[6] = "5,1.0,0.3"
+    p = tmp_path / "wide.csv"
+    p.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"wide\.csv:7: expected `hour,lambda`"):
+        load_profile(p)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -86,7 +89,7 @@ def test_single_hub_mild_fields():
     assert sc.fleet.capacity_kwh == 75.0
     assert sc.fleet.availability[0] == 0.85
     assert sc.fleet.availability[10] == 0.50
-    assert sc.droop.deadband == 0.02
+    assert sc.droop.deadband_pu == 0.02
     assert sc.droop.fixed_point is False
 
 
@@ -145,6 +148,13 @@ def test_inline_profile_values(tmp_path):
         (BASE_INI + "[fleet]\navailability = 0.5 0.5 0.5\n", "availability"),
         (BASE_INI + "[fleet]\navailability = 1.5\n", "availability"),
         (BASE_INI + "[fleet]\nsoc_init = 0.9 0.2\n", "soc_init"),
+        (BASE_INI + "[fleet]\ncapacity_kwh = 0\n", "capacity_kwh"),
+        (BASE_INI + "[fleet]\nc_rate = -0.5\n", "c_rate"),
+        (BASE_INI + "[fleet]\nsoh_init = 0\n", "soh_init"),
+        (BASE_INI + "[fleet]\nsoh_init = 1.2\n", "soh_init"),
+        (BASE_INI + "[fleet]\neta_inv = 0\n", "eta_inv"),
+        (BASE_INI + "[droop]\ndeadband = 0.12\n", "deadband"),
+        (BASE_INI + "[droop]\nv_sat_high = 0.99\n", "saturation"),
     ],
 )
 def test_malformed_scenarios_rejected(tmp_path, body, fragment):
@@ -156,14 +166,14 @@ def test_build_fleets_split_and_ranges():
     sc = load_scenario("multi_hub_mild")
     fleets = build_fleets(sc, 3)
     assert sorted(fleets) == sorted(sc.hub_buses)
-    assert sum(len(f.evs) for f in fleets.values()) == 120
+    assert sum(f.soc.size for f in fleets.values()) == 120
     for f in fleets.values():
-        assert len(f.evs) == 24
+        assert f.soc.size == 24
         assert sorted(f.order) == list(range(24))
-        for ev in f.evs:
-            assert 0.2 <= ev.soc <= 0.9
-            assert ev.soh == 0.95
-            assert ev.capacity_kwh == 75.0
+        for soc, soh in zip(f.soc, f.soh):
+            assert 0.2 <= soc <= 0.9
+            assert soh == 0.95
+        assert f.capacity_kwh == 75.0
 
 
 def test_build_fleets_remainder_goes_to_first_hubs():
@@ -174,7 +184,7 @@ def test_build_fleets_remainder_goes_to_first_hubs():
         fleet=dataclasses.replace(sc.fleet, ev_count=7),
     )
     fleets = build_fleets(sc, 0)
-    assert [len(fleets[b].evs) for b in sc.hub_buses] == [4, 3]
+    assert [fleets[b].soc.size for b in sc.hub_buses] == [4, 3]
 
 
 def test_build_fleets_deterministic_and_seed_sensitive():
@@ -182,13 +192,13 @@ def test_build_fleets_deterministic_and_seed_sensitive():
     a = build_fleets(sc, 11)["890"]
     b = build_fleets(sc, 11)["890"]
     c = build_fleets(sc, 12)["890"]
-    assert [ev.soc for ev in a.evs] == [ev.soc for ev in b.evs]
-    assert a.order == b.order
-    assert [ev.soc for ev in a.evs] != [ev.soc for ev in c.evs]
+    assert a.soc.tolist() == b.soc.tolist()
+    assert a.order.tolist() == b.order.tolist()
+    assert a.soc.tolist() != c.soc.tolist()
 
 
 def test_build_fleets_accepts_seed_sequence():
     sc = load_scenario("single_hub_mild")
     a = build_fleets(sc, np.random.SeedSequence(5))["890"]
     b = build_fleets(sc, np.random.SeedSequence(5))["890"]
-    assert [ev.soc for ev in a.evs] == [ev.soc for ev in b.evs]
+    assert a.soc.tolist() == b.soc.tolist()
