@@ -13,3 +13,13 @@ imported; an OPENBLAS_NUM_THREADS already set in the environment wins.
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Run the tests marked slow (the SAC training criteria) last.
+
+    They take nearly all of the suite's wall time, so every fast result
+    is reported before the long training runs start. The sort is stable:
+    each group keeps its collection order.
+    """
+    items.sort(key=lambda item: item.get_closest_marker("slow") is not None)

@@ -5,7 +5,9 @@ at the current loading, so the agent sees the problem before acting.
 Actions are normalized hub setpoints in [-1, 1]^(2H): (p, q) per hub,
 scaled by the hub ratings. The step applies the action at the observed
 loading, scores the controlled solve, then advances the loading and
-returns the next uncontrolled observation.
+returns the next uncontrolled observation. In eval mode the loading
+follows the profile, so an observation can come from a non-converged
+solve; `info["obs_converged"]` flags the one each action was taken on.
 """
 
 from __future__ import annotations
@@ -245,6 +247,7 @@ class V2GEnv:
             "lambda": self._lam,
             "hour": self._hour,
             "converged": sol.converged,
+            "obs_converged": self._sol.converged,
             "violations": int(np.sum((under > 0) | (over > 0))) if sol.converged else None,
             "v_min": float(sol.v_pu.min()) if sol.converged else None,
             "v_max": float(sol.v_pu.max()) if sol.converged else None,

@@ -93,10 +93,15 @@ def capability(fleet: FleetState, discharge: bool = True) -> np.ndarray:
     return np.where(fleet.available, p_current * taper, 0.0)
 
 
-def mark_availability(fleet: FleetState, hour: int) -> None:
-    """Flag the first floor(fraction * N) EVs of the fixed order."""
+def available_count(fleet: FleetState, hour: int) -> int:
+    """Number of EVs available at the given hour: floor(fraction * N)."""
     frac = fleet.availability_schedule[hour % len(fleet.availability_schedule)]
-    n_avail = int(math.floor(frac * fleet.soc.size + 1e-9))
+    return int(math.floor(frac * fleet.soc.size + 1e-9))
+
+
+def mark_availability(fleet: FleetState, hour: int) -> None:
+    """Flag the first available_count(fleet, hour) EVs of the fixed order."""
+    n_avail = available_count(fleet, hour)
     fleet.available[:] = False
     fleet.available[fleet.order[:n_avail]] = True
 

@@ -2,12 +2,16 @@
 
 A feeder is a tree rooted at the single slack bus. All records are
 immutable after construction; validation happens once, up front, so the
-solver can assume a well-formed network.
+solver can assume a well-formed network. The per-unit matrices the
+solver needs are compiled once per feeder, on its first solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 
 class FeederTopologyError(ValueError):
@@ -60,7 +64,7 @@ class Feeder:
         except KeyError:
             raise KeyError(f"unknown bus {bus_id!r}") from None
 
-    @property
+    @cached_property
     def bus_ids(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.buses)
 
@@ -72,9 +76,71 @@ class Feeder:
     def hub_by_bus(self) -> dict[str, Hub]:
         return {h.bus: h for h in self.hubs}
 
+    @cached_property
+    def network(self) -> Network:
+        """Per-unit matrices of the feeder, compiled on first use."""
+        return compile_network(self)
+
     # populated by build_feeder via object.__setattr__ (frozen dataclass)
     _index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     _slack: int = field(default=-1, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Network:
+    """Per-unit matrices of a feeder for the matrix-form sweep.
+
+    `path_impedance[i, j]` is the impedance shared by the paths from the
+    slack bus to buses i and j (BCBV @ BIBC in Teng's direct method), so
+    `V0 - path_impedance @ I` is the voltage profile that bus currents I
+    draw. Its slack row and column are zero. `admittance` is the bus
+    admittance matrix. Each line is normalized on the voltage base of its
+    end farther from the slack.
+    """
+
+    path_impedance: np.ndarray
+    admittance: np.ndarray
+    nonslack: np.ndarray
+
+
+def compile_network(feeder: Feeder) -> Network:
+    """Both matrices from one breadth-first pass over the tree."""
+    n = len(feeder.buses)
+    adjacency: list[list[tuple[int, complex]]] = [[] for _ in range(n)]
+    for ln in feeder.lines:
+        a = feeder.bus_index(ln.from_bus)
+        b = feeder.bus_index(ln.to_bus)
+        z = complex(ln.resistance_ohm, ln.reactance_ohm)
+        adjacency[a].append((b, z))
+        adjacency[b].append((a, z))
+
+    # Row e of each matrix is the line feeding bus e (none for the slack).
+    # path[e, i] = 1 when that line lies on the path from the slack to bus i
+    # (Teng's BIBC); incidence[e] is +1 at bus e and -1 at its parent.
+    root = feeder.slack_index
+    path = np.zeros((n, n))
+    incidence = np.zeros((n, n))
+    z_pu = np.zeros(n, dtype=np.complex128)
+    y_pu = np.zeros(n, dtype=np.complex128)
+    seen = [False] * n
+    seen[root] = True
+    queue = [root]
+    for u in queue:  # a bus is reached after its parent
+        for v, z_ohm in adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                z_pu[v] = z_ohm / (feeder.buses[v].base_kv ** 2 / feeder.base_mva)
+                y_pu[v] = 1.0 / z_pu[v]
+                path[:, v] = path[:, u]
+                path[v, v] = 1.0
+                incidence[v, v] = 1.0
+                incidence[v, u] = -1.0
+                queue.append(v)
+    return Network(
+        path_impedance=(path.T * z_pu) @ path,
+        admittance=(incidence.T * y_pu) @ incidence,
+        nonslack=np.delete(np.arange(n), root),
+    )
 
 
 def build_feeder(

@@ -1,14 +1,19 @@
 """Steady-state power flow for radial feeders (backward/forward sweep).
 
 Balanced positive-sequence model in per unit. The sweep is the
-current-summation variant: node currents from the latest voltages,
-branch currents accumulated leaf-to-root, voltages updated root-to-leaf.
-Convergence is judged on the per-bus complex power mismatch, not on the
-voltage update, so a converged solution certifies power balance.
+current-summation variant in matrix form (Teng's BIBC/BCBV direct
+method): node currents from the latest voltages, then every voltage at
+once as the slack voltage minus the path-impedance matrix times those
+currents, which is the leaf-to-root current sum and root-to-leaf drop
+of the loop sweep in one product. The matrices are compiled once per
+feeder (`Feeder.network`). Convergence is judged on the per-bus complex
+power mismatch, not on the voltage update, so a converged solution
+certifies power balance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -53,44 +58,6 @@ def clamp_hub_setpoint(hub: Hub, p_kw: float, q_kvar: float) -> tuple[float, flo
     return p, q
 
 
-def _tree_order(feeder: Feeder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BFS ordering from the slack bus.
-
-    Returns (order, parent, z_pu) where order[0] is the slack, parent[i]
-    is the upstream bus index of bus i, and z_pu[i] is the impedance of
-    the line feeding bus i (per unit on that bus's voltage base).
-    """
-    n = len(feeder.buses)
-    adjacency: list[list[tuple[int, complex]]] = [[] for _ in range(n)]
-    for ln in feeder.lines:
-        a = feeder.bus_index(ln.from_bus)
-        b = feeder.bus_index(ln.to_bus)
-        z = complex(ln.resistance_ohm, ln.reactance_ohm)
-        adjacency[a].append((b, z))
-        adjacency[b].append((a, z))
-
-    order = np.empty(n, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    z_pu = np.zeros(n, dtype=np.complex128)
-    root = feeder.slack_index
-    order[0] = root
-    visited = [False] * n
-    visited[root] = True
-    head, count = 0, 1
-    while head < count:
-        u = order[head]
-        head += 1
-        for v, z_ohm in adjacency[u]:
-            if not visited[v]:
-                visited[v] = True
-                parent[v] = u
-                z_base = feeder.buses[v].base_kv ** 2 / feeder.base_mva
-                z_pu[v] = z_ohm / z_base
-                order[count] = v
-                count += 1
-    return order, parent, z_pu
-
-
 def solve_power_flow(
     feeder: Feeder,
     demands: Demands,
@@ -108,7 +75,7 @@ def solve_power_flow(
     stale earlier state.
     """
     n = len(feeder.buses)
-    order, parent, z_pu = _tree_order(feeder)
+    net = feeder.network
     s_base_kw = feeder.base_mva * 1000.0
 
     s_net = np.zeros(n, dtype=np.complex128)  # consumed power, p.u.
@@ -119,37 +86,25 @@ def solve_power_flow(
             s_net[feeder.bus_index(bus_id)] -= complex(p, q) / s_base_kw
 
     root = feeder.slack_index
-    v = np.full(n, complex(v_slack_pu, 0.0))  # flat start, every solve
-    down = order[1:]          # non-slack buses in sweep order
-    up = down[::-1]
-    par = parent[down]
-
+    v_slack = complex(v_slack_pu, 0.0)
+    v = np.full(n, v_slack)  # flat start, every solve
     mismatch = np.inf
     iterations = 0
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for iterations in range(1, max_iterations + 1):
-            # backward: accumulate branch currents leaf-to-root
-            i_branch = np.conj(s_net / v)
-            for b in up:
-                i_branch[parent[b]] += i_branch[b]
-            # forward: propagate voltage drops root-to-leaf
-            for b in down:
-                v[b] = v[parent[b]] - z_pu[b] * i_branch[b]
-            # power-balance residual at every non-slack bus
-            i_line = (v[par] - v[down]) / z_pu[down]   # current into each bus
-            i_net = np.zeros(n, dtype=np.complex128)
-            np.add.at(i_net, down, i_line)
-            np.add.at(i_net, par, -i_line)
-            s_calc = v * np.conj(i_net)
-            mismatch = float(np.max(np.abs(s_calc[down] - s_net[down])))
-            if not np.isfinite(mismatch):
+            v = v_slack - net.path_impedance @ np.conj(s_net / v)
+            # power-balance residual at every non-slack bus: the lines
+            # deliver -V conj(Y V) into each bus, which must meet its demand
+            s_err = v * np.conj(net.admittance @ v) + s_net
+            mismatch = float(np.abs(s_err[net.nonslack]).max(initial=0.0))
+            if not math.isfinite(mismatch):
                 mismatch = np.inf
                 break
             if mismatch <= tolerance_pu:
                 break
 
-    converged = bool(np.isfinite(mismatch) and mismatch <= tolerance_pu)
-    v[root] = complex(v_slack_pu, 0.0)  # slack pinned bit-for-bit
+    converged = math.isfinite(mismatch) and mismatch <= tolerance_pu
+    v[root] = v_slack  # slack pinned bit-for-bit
     return PowerFlowSolution(
         bus_ids=feeder.bus_ids,
         v_pu=np.abs(v),

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..droop import droop_control
 from ..env import V2GEnv, config_from_scenario
-from ..fleet import DegradationParams, mark_availability
+from ..fleet import DegradationParams, available_count
 from ..grid import scale_loads, solve_power_flow
 from ..scenario import Scenario, build_fleets
 from .metrics import DayMetrics, compute_metrics
@@ -25,6 +25,7 @@ class HourRecord:
     hour: int
     lam: float
     converged: bool
+    obs_converged: bool  # the solve behind the observation acted on; not in CSV or report
     v_mean: float
     v_min: float
     v_max: float
@@ -95,14 +96,14 @@ def _droop_action(env: V2GEnv, scenario: Scenario) -> np.ndarray:
 
 
 def _fleet_snapshot(env: V2GEnv, hour: int) -> tuple[float | None, int]:
+    """Mean SOC and available EVs over all hubs before the hour's step; reads only."""
     if not env.fleets:
         return None, 0
     socs, count = [], 0
     for fleet in env.fleets.values():
-        mark_availability(fleet, hour)
         if fleet.soc.size:
             socs.append(float(np.mean(fleet.soc)) * fleet.soc.size)
-        count += int(fleet.available.sum())
+        count += available_count(fleet, hour)
     total_evs = sum(f.soc.size for f in env.fleets.values())
     return (sum(socs) / total_evs if total_evs else None), count
 
@@ -163,6 +164,7 @@ def evaluate(
                 hour=hour,
                 lam=info["lambda"],
                 converged=info["converged"],
+                obs_converged=info["obs_converged"],
                 v_mean=float(sol.v_pu.mean()) if info["converged"] else float("nan"),
                 v_min=float(sol.v_pu.min()) if info["converged"] else float("nan"),
                 v_max=float(sol.v_pu.max()) if info["converged"] else float("nan"),

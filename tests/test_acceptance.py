@@ -155,6 +155,7 @@ def test_criterion_4_phase_consistency_both_controllers():
         assert all(r.hub_rho["5"] == 1.0 for r in p2.hours)
 
 
+@pytest.mark.slow
 def test_criterion_5_learning_beats_baselines():
     sc = load_scenario("five_bus_train")
     seed = sc.seed
@@ -191,6 +192,7 @@ def _train_on(scenario_name: str, steps: int) -> SacAgent:
     return agent
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_trends_34_bus():
     # (a) coordinated control clears the mild day
     multi = load_scenario("multi_hub_mild")

@@ -169,6 +169,20 @@ def test_controlled_collapse_pays_penalty(two_bus):
     assert env.nonconverged_steps == 1
 
 
+def test_obs_converged_flags_the_observed_solve(two_bus):
+    # two_bus stops converging near lam 3.6; full injection rescues the grid
+    env = V2GEnv(eval_config(two_bus, lam=4.0, v2g_window=(0, 24)))
+    env.reset()
+    assert not env.current_solution.converged
+    res = env.step(np.ones(2))
+    assert res.info["obs_converged"] is False and res.info["converged"] is True
+    # and a full draw collapses a converged observation
+    env = V2GEnv(eval_config(two_bus, lam=1.0, v2g_window=(0, 24)))
+    env.reset()
+    res = env.step(-np.ones(2))
+    assert res.info["obs_converged"] is True and res.info["converged"] is False
+
+
 def test_eval_episode_runs_24_hours(two_bus):
     env = V2GEnv(eval_config(two_bus, lam=0.5))
     env.reset()

@@ -1,9 +1,11 @@
 import dataclasses
+import importlib
 import json
 
 import numpy as np
 import pytest
 
+import voltfleet.fleet as fleet_module
 from voltfleet.droop import DroopCurve, droop_control
 from voltfleet.grid import scale_loads, solve_power_flow
 from voltfleet.harness.cli import main
@@ -18,7 +20,7 @@ from voltfleet.scenario import load_scenario
 
 def record(hour, v_mean, converged=True):
     return HourRecord(
-        hour=hour, lam=1.0, converged=converged,
+        hour=hour, lam=1.0, converged=converged, obs_converged=True,
         v_mean=v_mean, v_min=v_mean, v_max=v_mean, reward=0.0,
         hub_p_kw={"2": 0.0}, hub_q_kvar={"2": 0.0}, hub_rho={"2": 1.0},
         soc_mean=None, ev_count=0,
@@ -103,6 +105,63 @@ def test_ev_constrained_run_tracks_soc(mild_scenario):
     assert all(s is not None for s in socs)
     assert min(socs) < socs[0]  # the fleet actually discharges
     assert any(r.hub_rho["890"] < 1.0 for r in run.hours)
+
+
+def _marking_snapshot(env, hour):
+    """The EV columns as read by marking each fleet's availability first."""
+    socs, count = [], 0
+    for fleet in env.fleets.values():
+        fleet_module.mark_availability(fleet, hour)
+        socs.append(float(np.mean(fleet.soc)) * fleet.soc.size)
+        count += int(fleet.available.sum())
+    return sum(socs) / sum(f.soc.size for f in env.fleets.values()), count
+
+
+@pytest.mark.parametrize("name", ["multi_hub_mild", "single_hub_aggressive"])
+def test_fleet_snapshot_reads_without_marking(name, monkeypatch):
+    sc = load_scenario(name)
+    got = evaluate(sc, "droop", ev_constrained=True)
+    eval_module = importlib.import_module("voltfleet.harness.evaluate")
+    monkeypatch.setattr(eval_module, "_fleet_snapshot", _marking_snapshot)
+    want = evaluate(sc, "droop", ev_constrained=True)
+    assert [(r.ev_count, r.soc_mean) for r in got.hours] == [
+        (r.ev_count, r.soc_mean) for r in want.hours
+    ]
+    assert got.hours == want.hours
+
+
+def test_availability_marked_once_per_hub_hour(monkeypatch):
+    sc = load_scenario("multi_hub_mild")
+    marked = []
+    mark = fleet_module.mark_availability
+    monkeypatch.setattr(
+        fleet_module, "mark_availability",
+        lambda fleet, hour: marked.append((id(fleet), hour)) or mark(fleet, hour),
+    )
+    evaluate(sc, "droop", ev_constrained=True)
+    assert len(marked) == 24 * len(sc.hub_buses)
+    assert len(set(marked)) == len(marked)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["five_bus_train", "single_hub_mild", "single_hub_aggressive",
+     "multi_hub_mild", "multi_hub_aggressive"],
+)
+def test_shipped_days_act_on_converged_observations(name):
+    run = evaluate(load_scenario(name), "droop")
+    assert all(r.obs_converged for r in run.hours)
+
+
+def test_nonconverged_observations_are_flagged():
+    sc = load_scenario("single_hub_aggressive")
+    sc = dataclasses.replace(sc, profile=tuple(3.0 * lam for lam in sc.profile))
+    run = evaluate(sc, "none")
+    flags = [r.obs_converged for r in run.hours]
+    assert not all(flags)
+    # with no control the scored solve is the observed one
+    assert flags == [r.converged for r in run.hours]
+    assert "obs_converged" not in hourly_csv(run)
 
 
 def test_rl_controller_with_fresh_agent(five_bus_scenario):

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import sweep_reference as ref
+import voltfleet.grid.model as model
 from voltfleet.grid import (
     Bus,
     Hub,
@@ -10,9 +14,11 @@ from voltfleet.grid import (
     LoadPoint,
     build_feeder,
     clamp_hub_setpoint,
+    load_feeder_file,
     scale_loads,
     solve_power_flow,
 )
+from voltfleet.resources import feeder_path
 
 from nr_oracle import _ybus, solve_newton
 
@@ -62,6 +68,117 @@ def random_radial_feeder(rng, n_buses):
     return build_feeder(buses, lines, loads, hubs, base_mva=2.0)
 
 
+KV_LEVELS = (0.48, 4.16, 12.47, 24.9)
+
+
+def random_case(rng, n_buses, lam):
+    """Random radial feeder with its demands at loading lam and hub injections.
+
+    Voltage bases are mixed, the slack bus sits anywhere in the bus list
+    and carries a load of its own, and lines list their ends in either
+    direction. Line impedances are drawn in per unit on the downstream
+    bus's base, so every base gives comparable stress; lam above about 1
+    takes the larger feeders past the nose of their PV curve.
+    """
+    base_mva = float(rng.choice([1.0, 2.5, 10.0]))
+    s_base_kw = base_mva * 1000.0
+    kv = rng.choice(KV_LEVELS, size=n_buses)
+    ids = [f"b{k}" for k in rng.permutation(n_buses)]  # ids[0] is the slack
+    buses = [Bus(ids[i], float(kv[i]), is_slack=(i == 0)) for i in range(n_buses)]
+    lines = []
+    for i in range(1, n_buses):
+        up = ids[int(rng.integers(0, i))]
+        r, x = rng.uniform(0.002, 0.03, size=2) * kv[i] ** 2 / base_mva
+        ends = (up, ids[i]) if rng.random() < 0.5 else (ids[i], up)
+        lines.append(Line(*ends, float(r), float(x)))
+    loads = [
+        LoadPoint(ids[i], float(p), float(q))
+        for i, (p, q) in enumerate(rng.uniform(0.0, 0.25, size=(n_buses, 2)) * s_base_kw)
+    ]
+    hub_buses = rng.choice(ids[1:], size=min(3, n_buses - 1), replace=False)
+    hubs = [Hub(str(b), 0.5 * s_base_kw, 0.5 * s_base_kw) for b in hub_buses]
+    feeder = build_feeder(
+        [buses[k] for k in rng.permutation(n_buses)], lines, loads, hubs, base_mva
+    )
+    injections = {
+        h.bus: tuple(float(v) for v in rng.uniform(-0.3, 0.3, size=2) * s_base_kw)
+        for h in hubs
+    }
+    return feeder, scale_loads(feeder, lam), injections
+
+
+random_cases = st.builds(
+    lambda seed, n_buses, lam: random_case(np.random.default_rng(seed), n_buses, lam),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.floats(0.0, 4.0),
+)
+
+
+def _phasors(sol):
+    return sol.v_pu * np.exp(1j * sol.angle_rad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_cases)
+def test_compiled_solve_matches_loop_sweep(case):
+    feeder, demands, injections = case
+    want = ref.solve_power_flow(feeder, demands, injections)
+    got = solve_power_flow(feeder, demands, injections)
+    assert (got.converged, got.iterations) == (want.converged, want.iterations)
+    assert got.bus_ids == want.bus_ids
+    if got.converged:
+        assert np.max(np.abs(_phasors(got) - _phasors(want))) <= 1e-12
+
+
+def test_random_cases_reach_past_the_nose():
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for _ in range(60):
+        case = random_case(rng, int(rng.integers(2, 41)), float(rng.uniform(0.0, 4.0)))
+        outcomes.append(solve_power_flow(*case).converged)
+    assert 0.1 < np.mean(outcomes) < 0.9
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_cases)
+def test_compiled_solve_matches_newton(case):
+    feeder, demands, injections = case
+    sweep = solve_power_flow(feeder, demands, injections)
+    vm, ok = solve_newton(feeder, demands, injections)
+    assume(sweep.converged and ok)
+    assert np.max(np.abs(sweep.v_pu - vm)) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_compiled_matrices(seed):
+    rng = np.random.default_rng(seed)
+    feeder, _, _ = random_case(rng, 12, 1.0)
+    net = feeder.network
+    np.testing.assert_allclose(net.admittance, _ybus(feeder), rtol=1e-12, atol=0.0)
+    # with the slack grounded, the path-impedance block inverts the admittance block
+    ns = np.ix_(net.nonslack, net.nonslack)
+    np.testing.assert_allclose(
+        net.path_impedance[ns] @ net.admittance[ns], np.eye(11), atol=1e-9
+    )
+    assert not np.any(net.path_impedance[feeder.slack_index])
+    assert not np.any(net.path_impedance[:, feeder.slack_index])
+
+
+def test_feeder_compiled_once_on_first_solve(monkeypatch):
+    compiled = []
+    compile_network = model.compile_network
+    monkeypatch.setattr(
+        model, "compile_network", lambda f: compiled.append(f) or compile_network(f)
+    )
+    built, loaded = two_bus(), load_feeder_file(feeder_path("ieee34_equiv"))
+    assert compiled == []
+    assert "network" not in vars(built) and "network" not in vars(loaded)
+    for lam in (0.5, 1.5):
+        solve_power_flow(loaded, scale_loads(loaded, lam))
+    assert len(compiled) == 1 and compiled[0] is loaded
+
+
 def test_two_bus_matches_closed_form():
     r, x, p_kw, q_kvar = 0.02, 0.04, 300.0, 100.0
     feeder = two_bus(r, x, p_kw, q_kvar)
@@ -90,6 +207,13 @@ def test_zero_load_is_flat():
     assert np.all(sol.v_pu == 1.03)
     assert np.all(sol.angle_rad == 0.0)
     assert sol.iterations <= 2
+
+
+def test_slack_only_feeder_solves_flat():
+    feeder = build_feeder([Bus("a", 1.0, is_slack=True)], [], [LoadPoint("a", 10.0, 1.0)], [])
+    sol = solve_power_flow(feeder, scale_loads(feeder, 1.0), v_slack_pu=1.02)
+    assert sol.converged and sol.iterations == 1
+    assert sol.v_pu.tolist() == [1.02]
 
 
 def test_slack_voltage_pinned_exactly():
