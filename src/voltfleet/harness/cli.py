@@ -12,7 +12,7 @@ import numpy as np
 from ..env import V2GEnv, config_from_scenario
 from ..grid import load_feeder_file
 from ..sac import SacAgent, SacConfig
-from ..sac.train import train as sac_train
+from ..sac.train import divergence_dump_beside, train as sac_train
 from ..scenario import load_scenario
 from .evaluate import CONTROLLERS, evaluate
 from .report import build_report, write_report
@@ -106,6 +106,7 @@ def _cmd_train(args) -> int:
         warmup=args.warmup,
         csv_path=args.log_csv,
         seed=seed,
+        dump_path=divergence_dump_beside(args.out),
     )
     agent.save(args.out)
     summary = {

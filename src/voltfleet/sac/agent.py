@@ -195,19 +195,40 @@ class SacAgent:
         arrays["__meta"] = np.array([self.obs_dim, self.act_dim, self.updates])
         np.savez(self._npz(path), **arrays)
 
+    @staticmethod
+    def _meta(blob, path) -> np.ndarray:
+        meta = blob["__meta"] if "__meta" in blob else None
+        if meta is None or meta.shape != (3,):
+            raise ValueError(f"checkpoint {path}: '__meta' missing or not 3 values")
+        return meta
+
     def load(self, path) -> None:
+        """Read a `save` checkpoint; every key and exact shape is checked
+        before any parameter changes."""
+        params = self._param_map()
         with np.load(self._npz(path)) as blob:
-            meta = blob["__meta"]
+            meta = self._meta(blob, path)
             if int(meta[0]) != self.obs_dim or int(meta[1]) != self.act_dim:
                 raise ValueError("checkpoint dimensions do not match this agent")
-            for k, t in self._param_map().items():
-                t.data = blob[k].astype(np.float64).reshape(t.data.shape)
-            self.updates = int(meta[2])
+            loaded = {}
+            for k, t in params.items():
+                if k not in blob:
+                    raise ValueError(f"checkpoint {path}: no {k!r}")
+                data = blob[k]
+                if data.shape != t.data.shape:
+                    raise ValueError(
+                        f"checkpoint {path}: {k!r} has shape {data.shape}, "
+                        f"this agent needs {t.data.shape}"
+                    )
+                loaded[k] = data.astype(np.float64)
+        for k, data in loaded.items():
+            params[k].data = data
+        self.updates = int(meta[2])
 
     @classmethod
     def restore(cls, path, seed: int = 0, config: SacConfig | None = None) -> "SacAgent":
         with np.load(cls._npz(path)) as blob:
-            meta = blob["__meta"]
+            meta = cls._meta(blob, path)
         agent = cls(int(meta[0]), int(meta[1]), seed=seed, config=config)
         agent.load(path)
         return agent

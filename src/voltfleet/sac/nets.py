@@ -36,24 +36,62 @@ class DenseNet:
             out.append(b)
         return out
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = x
-        n = len(self.weights)
+    def _layers(self, h: np.ndarray, saved: list | None = None) -> np.ndarray:
+        """The layer loop of `forward` and `forward_np`.
+
+        Each layer is h @ W, then + b in place, then (not on the last
+        layer) ReLU in place with the bits of where(z > 0, z, 0.0): fmax
+        maps NaN to 0, and + 0.0 turns -0.0 into +0.0. When `saved` is a
+        list it gets each layer's input and its ReLU mask (None on the
+        last layer) for the backward pass.
+        """
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < n - 1:
-                h = h.relu()
+            z = h @ w.data
+            z += b.data
+            mask = None
+            if i < last:
+                np.fmax(z, 0.0, out=z)
+                z += 0.0
+                if saved is not None:
+                    mask = z > 0
+            if saved is not None:
+                saved.append((h, mask))
+            h = z
         return h
+
+    def forward(self, x: Tensor) -> Tensor:
+        """The whole stack as one tape node.
+
+        Its gradients have the bits of the op-by-op tape (matmul, bias
+        add, ReLU per layer): every gradient that tape passed on went
+        through `Tensor._accumulate`, whose + 0.0 is repeated here.
+        """
+        saved: list[tuple[np.ndarray, np.ndarray | None]] = []
+        out = self._layers(x.data, saved)
+
+        def backward(g):
+            g = g + 0.0
+            for i in reversed(range(len(saved))):
+                h, mask = saved[i]
+                if mask is not None:
+                    g *= mask
+                    g += 0.0
+                w, b = self.weights[i], self.biases[i]
+                if b.requires_grad:
+                    b._accumulate(g.sum(axis=0))
+                if w.requires_grad:
+                    w._accumulate(h.T @ g)
+                if i > 0:
+                    g = g @ w.data.T
+                elif x.requires_grad:
+                    x._accumulate(g @ w.data.T)
+
+        return Tensor._result(out, (x, *self.params()), backward)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         """Graph-free forward for inference."""
-        h = np.asarray(x, dtype=np.float64)
-        n = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if i < n - 1:
-                h = np.maximum(h, 0.0)
-        return h
+        return self._layers(np.asarray(x, dtype=np.float64))
 
 
 class QNetwork:

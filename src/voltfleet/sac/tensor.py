@@ -3,7 +3,9 @@
 Just enough surface for dense nets and a tanh-Gaussian policy: elementwise
 arithmetic with broadcasting, matmul, a few nonlinearities, reductions,
 concat and basic indexing. Gradients accumulate into ``Tensor.grad`` when
-``backward()`` is called on a scalar.
+``backward()`` is called on a scalar. A dense ReLU stack
+(``nets.DenseNet.forward``) records one node for all its layers, built with
+``Tensor._result``, instead of a matmul, a bias add and a ReLU per layer.
 """
 
 from __future__ import annotations
@@ -166,19 +168,6 @@ class Tensor:
         return Tensor._result(self.data[key], (self,), backward)
 
     # ---- nonlinearities ---------------------------------------------
-    def relu(self):
-        mask = self.data > 0
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * mask)
-
-        # the bits of where(mask, x, 0.0) without its slow masked select:
-        # fmax maps NaN to 0, and + 0.0 turns -0.0 into +0.0
-        y = np.fmax(self.data, 0.0)
-        y += 0.0
-        return Tensor._result(y, (self,), backward)
-
     def tanh(self):
         y = np.tanh(self.data)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,13 +48,15 @@ def train(
     log_every: int = 500,
     csv_path: str | Path | None = None,
     seed: int = 0,
-    dump_path: str | Path = DIVERGENCE_DUMP,
+    dump_path: str | Path | None = None,
 ) -> TrainResult:
     """Off-policy loop: act, store, update once per post-warmup step.
 
     Warmup actions are uniform random to fill the replay buffer before any
     gradient step. Raises RuntimeError (after dumping the offending batch)
-    if a loss stops being finite.
+    if a loss stops being finite. The batch goes to `dump_path`, by default
+    beside `csv_path` (`<name>.divergence.npz`), or without one to
+    `DIVERGENCE_DUMP` in the system's temporary directory.
     """
     rng = np.random.default_rng(seed)
     batch_size = agent.config.batch_size
@@ -77,7 +80,13 @@ def train(
             stats = agent.update(batch)
             bad = [k for k, v in stats.items() if not math.isfinite(v)]
             if bad:
-                np.savez(dump_path, **batch)
+                if dump_path is None:
+                    dump_path = (
+                        divergence_dump_beside(csv_path) if csv_path is not None
+                        else Path(tempfile.gettempdir()) / DIVERGENCE_DUMP
+                    )
+                with open(dump_path, "wb") as fh:  # exactly this name, no added .npz
+                    np.savez(fh, **batch)
                 raise RuntimeError(
                     f"non-finite {bad} at step {step}; batch saved to {dump_path}"
                 )
@@ -90,6 +99,12 @@ def train(
     if csv_path is not None:
         _write_history(csv_path, result.history)
     return result
+
+
+def divergence_dump_beside(path: str | Path) -> Path:
+    """Where a divergence dump goes next to an output file: its suffix
+    replaced by `.divergence.npz`."""
+    return Path(path).with_suffix(".divergence.npz")
 
 
 def _write_history(path: str | Path, rows: list[dict]) -> None:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voltfleet.fleet as fleet_module
 from voltfleet.droop import DroopCurve, droop_control
@@ -221,6 +223,25 @@ def test_report_bodies_are_reproducible(five_bus_scenario):
     assert "version:" in body1
     assert "hourly_data_sha256:" in body1
     assert "seeds: 0" in body1
+
+
+@pytest.mark.parametrize("ev_constrained", [False, True])
+@pytest.mark.parametrize("controller", ["none", "droop", "rl"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_report_and_csv_deterministic_over_seeds(five_bus_scenario, seed, controller,
+                                                 ev_constrained):
+    agent = None
+    if controller == "rl":  # untrained, so the policy's forward runs in eval
+        agent = SacAgent(5, 2, seed=seed)
+
+    def run():
+        return evaluate(five_bus_scenario, controller, agent=agent,
+                        ev_constrained=ev_constrained, seed=seed)
+
+    first, second = run(), run()
+    assert hourly_csv(first).encode() == hourly_csv(second).encode()
+    assert build_report([first]).encode() == build_report([second]).encode()
 
 
 def test_report_refuses_mixed_feeders(five_bus_scenario, mild_scenario):

@@ -1,3 +1,8 @@
+import os
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,6 +179,45 @@ def test_checkpoint_round_trip(tmp_path):
         wrong.load(path)
 
 
+def rewrite_checkpoint(path, edit):
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def param_bytes(agent):
+    return [t.data.tobytes() for t in agent._param_map().values()]
+
+
+def test_load_rejects_same_size_wrong_shape(tmp_path):
+    agent = small_agent(seed=4)
+    path = tmp_path / "ckpt.npz"
+    agent.save(path)
+    # (7, 256) weight stored as (256, 7): same size, so a reshape would pass
+    rewrite_checkpoint(path, lambda a: a.update({"q1.0": a["q1.0"].T.copy()}))
+    other = small_agent(seed=5)
+    before = param_bytes(other)
+    with pytest.raises(ValueError, match=r"'q1\.0' has shape \(256, 7\)"):
+        other.load(path)
+    assert param_bytes(other) == before
+
+
+@pytest.mark.parametrize("key", ["policy.3", "q2_target.5", "log_alpha", "__meta"])
+def test_load_rejects_missing_key(tmp_path, key):
+    agent = small_agent(seed=4)
+    path = tmp_path / "ckpt.npz"
+    agent.save(path)
+    rewrite_checkpoint(path, lambda a: a.pop(key))
+    other = small_agent(seed=5)
+    before = param_bytes(other)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        other.load(path)
+    assert param_bytes(other) == before
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        SacAgent.restore(path, config=agent.config)
+
+
 # ---- training loop ----------------------------------------------------
 
 
@@ -215,6 +259,27 @@ def test_train_dumps_batch_on_divergence(tmp_path, five_bus_env):
         train(five_bus_env, agent, total_steps=40, warmup=20, dump_path=dump, seed=0)
     assert dump.exists()
     with np.load(dump) as blob:
+        assert blob["obs"].shape == (16, 5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("with_csv", [True, False])
+def test_divergence_dump_default_stays_out_of_cwd(tmp_path, monkeypatch, five_bus_env,
+                                                  with_csv):
+    cwd, tmp, out = tmp_path / "cwd", tmp_path / "tmp", tmp_path / "out"
+    for d in (cwd, tmp, out):
+        d.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    agent = SacAgent(obs_dim=5, act_dim=2, seed=6, config=SacConfig(batch_size=16))
+    agent.log_alpha.data = np.array(np.inf)  # force a non-finite alpha stat
+    csv_path = out / "log.csv" if with_csv else None
+    with pytest.raises(RuntimeError, match="non-finite") as err:
+        train(five_bus_env, agent, total_steps=40, warmup=20, csv_path=csv_path, seed=0)
+    assert os.listdir(cwd) == []
+    named = Path(str(err.value).rsplit("batch saved to ", 1)[1])
+    assert named == (out / "log.divergence.npz" if with_csv else tmp / "sac_divergence_dump.npz")
+    with np.load(named) as blob:
         assert blob["obs"].shape == (16, 5)
 
 
