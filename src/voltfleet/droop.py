@@ -5,7 +5,8 @@ piecewise-linear curve: zero inside the deadband around 1.0 p.u., a
 single linear ramp to full output at the saturation voltage, clamped
 beyond. The same normalized output sets both the active (Volt-Watt) and
 the reactive (Volt-Var) setpoint, scaled by the hub's P and Q ratings.
-Positive output injects (supports undervoltage).
+Positive output injects (supports undervoltage). `droop_control` answers
+for all hubs at once, as an (H, 2) kW/kvar array in hub order.
 
 `DroopCurve` is also the scenario's `[droop]` section: `fixed_point`
 asks the evaluation harness to iterate the response against the grid
@@ -15,9 +16,10 @@ until it reproduces itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .grid import Hub, PowerFlowSolution
+import numpy as np
+
+from .grid import PowerFlowSolution
 
 
 @dataclass(frozen=True)
@@ -34,30 +36,32 @@ class DroopCurve:
             raise ValueError("saturation voltages must bracket 1.0")
 
 
-def droop_output(curve: DroopCurve, v_pu: float) -> float:
-    """Normalized output in [-1, 1] for a measured voltage."""
-    if v_pu <= 0:
+def droop_output(curve: DroopCurve, v_pu):
+    """Normalized output in [-1, 1] for each measured voltage.
+
+    A float gives a float, an array an array of the same shape. Below the
+    deadband only the sag ramp is non-zero, above it only the swell ramp.
+    """
+    v = np.asarray(v_pu, dtype=float)
+    if (v <= 0).any():
         raise ValueError("voltage must be positive")
     lo_edge = 1.0 - curve.deadband_pu
     hi_edge = 1.0 + curve.deadband_pu
-    if lo_edge <= v_pu <= hi_edge:
-        return 0.0
-    if v_pu < lo_edge:
-        out = (lo_edge - v_pu) / (lo_edge - curve.v_sat_low_pu)
-        return min(out, 1.0)
-    out = (v_pu - hi_edge) / (curve.v_sat_high_pu - hi_edge)
-    return -min(out, 1.0)
+    sag = ((lo_edge - v) / (lo_edge - curve.v_sat_low_pu)).clip(0.0, 1.0)
+    swell = ((v - hi_edge) / (curve.v_sat_high_pu - hi_edge)).clip(0.0, 1.0)
+    return (sag - swell)[()]
 
 
 def droop_control(
-    hubs: Iterable[Hub],
     solution: PowerFlowSolution,
+    hub_index: np.ndarray,
+    ratings: np.ndarray,
     curve: DroopCurve | None = None,
-) -> dict[str, tuple[float, float]]:
-    """Per-hub (P_kw, Q_kvar) setpoints from each hub's own bus voltage."""
-    curve = curve or DroopCurve()
-    setpoints: dict[str, tuple[float, float]] = {}
-    for hub in hubs:
-        out = droop_output(curve, solution.voltage_at(hub.bus))
-        setpoints[hub.bus] = (out * hub.p_max_kw, out * hub.q_max_kvar)
-    return setpoints
+) -> np.ndarray:
+    """(H, 2) hub (P_kw, Q_kvar) setpoints, each from its own bus voltage.
+
+    `hub_index` gives each hub's bus index, `ratings` its (p_max_kw,
+    q_max_kvar).
+    """
+    out = droop_output(curve or DroopCurve(), solution.v_pu[hub_index])
+    return out[:, None] * ratings

@@ -8,6 +8,11 @@ loading, scores the controlled solve, then advances the loading and
 returns the next uncontrolled observation. In eval mode the loading
 follows the profile, so an observation can come from a non-converged
 solve; `info["obs_converged"]` flags the one each action was taken on.
+
+Hub quantities travel as arrays in `hubs` order, from the action through
+the fleet to the solve: (H, 2) kW/kvar setpoints and (H,) rho, with the
+bus indices (`hub_index`) and ratings built once per env. Only the step's
+`info["delivered"]` and `info["rho"]` map bus ids to them, for the records.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .fleet import AllocationResult, DegradationParams, FleetState, allocate
-from .grid import Feeder, Hub, clamp_hub_setpoint, scale_loads, solve_power_flow
+from .fleet import DegradationParams, FleetState, allocate
+from .grid import Feeder, Hub, solve_power_flow
 from .scenario import Scenario
 
 V_LOW_PU = 0.95
@@ -47,18 +52,16 @@ def reward_from_voltages(
 
 
 def action_to_setpoints(
-    action: np.ndarray, hubs: tuple[Hub, ...], active: bool = True
-) -> dict[str, tuple[float, float]]:
-    """Normalized action -> per-hub (P_kw, Q_kvar), zeroed when inactive."""
-    out: dict[str, tuple[float, float]] = {}
-    for i, hub in enumerate(hubs):
-        if active:
-            p = float(action[2 * i]) * hub.p_max_kw
-            q = float(action[2 * i + 1]) * hub.q_max_kvar
-            out[hub.bus] = clamp_hub_setpoint(hub, p, q)
-        else:
-            out[hub.bus] = (0.0, 0.0)
-    return out
+    action: np.ndarray, ratings: np.ndarray, active: bool = True
+) -> np.ndarray:
+    """Normalized action -> (H, 2) hub (P_kw, Q_kvar), zeroed when inactive.
+
+    `ratings` holds each hub's (p_max_kw, q_max_kvar); an action clipped
+    to [-1, 1] stays within them.
+    """
+    if not active:
+        return np.zeros_like(ratings)
+    return np.reshape(action, ratings.shape) * ratings
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,9 @@ class V2GEnv:
         self.config = config
         by_bus = {h.bus: h for h in config.feeder.hubs}
         self.hubs: tuple[Hub, ...] = tuple(by_bus[b] for b in config.hub_buses)
+        # per-hub arrays, in hub order: bus index and (p_max_kw, q_max_kvar)
+        self.hub_index = np.array([config.feeder.bus_index(b) for b in config.hub_buses])
+        self.ratings = np.array([(h.p_max_kw, h.q_max_kvar) for h in self.hubs])
         self.fleets = dict(fleets) if fleets else {}
         if config.phase == 2:
             missing = [b for b in config.hub_buses if b not in self.fleets]
@@ -171,9 +177,8 @@ class V2GEnv:
         self._require_reset()
         return self._sol
 
-    def _solve(self, injections=None):
-        demands = scale_loads(self.config.feeder, self._lam)
-        return solve_power_flow(self.config.feeder, demands, hub_injections=injections)
+    def _solve(self, hub_pq=None):
+        return solve_power_flow(self.config.feeder, self._lam, self.hub_index, hub_pq)
 
     def _draw_lambda(self) -> None:
         lo, hi = self.config.lambda_range
@@ -219,22 +224,16 @@ class V2GEnv:
         a = np.clip(a, -1.0, 1.0)
 
         active = self._window_open()
-        setpoints = action_to_setpoints(a, self.hubs, active)
-
-        delivered: dict[str, tuple[float, float]] = {}
-        rho: dict[str, float] = {}
+        delivered = action_to_setpoints(a, self.ratings, active)
+        rho = np.ones(len(self.hubs))
         if self.config.phase == 2:
-            for bus, (p, q) in setpoints.items():
-                res: AllocationResult = allocate(
-                    p, q, self.fleets[bus], self._hour, dt_h=1.0, deg=self.degradation
-                )
-                delivered[bus] = (res.p_sup_kw, res.q_sup_kvar)
-                rho[bus] = res.rho
-        else:
-            delivered = dict(setpoints)
-            rho = {bus: 1.0 for bus in setpoints}
+            for i, (bus, (p, q)) in enumerate(zip(self.config.hub_buses, delivered.tolist())):
+                res = allocate(p, q, self.fleets[bus], self._hour, dt_h=1.0,
+                               deg=self.degradation)
+                delivered[i] = res.p_sup_kw, res.q_sup_kvar
+                rho[i] = res.rho
 
-        sol = self._solve(injections=delivered)
+        sol = self._solve(delivered)
         if sol.converged:
             r = reward_from_voltages(sol.v_pu)
         else:
@@ -251,9 +250,8 @@ class V2GEnv:
             "violations": int(np.sum((under > 0) | (over > 0))) if sol.converged else None,
             "v_min": float(sol.v_pu.min()) if sol.converged else None,
             "v_max": float(sol.v_pu.max()) if sol.converged else None,
-            "setpoints": setpoints,
-            "delivered": delivered,
-            "rho": rho,
+            "delivered": dict(zip(self.config.hub_buses, map(tuple, delivered.tolist()))),
+            "rho": dict(zip(self.config.hub_buses, rho.tolist())),
             "clamped": n_clamped,
             "solution": sol,
         }

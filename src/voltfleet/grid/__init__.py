@@ -12,8 +12,6 @@ from .powerflow import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE_PU,
     PowerFlowSolution,
-    clamp_hub_setpoint,
-    scale_loads,
     solve_power_flow,
 )
 
@@ -29,8 +27,6 @@ __all__ = [
     "load_feeder",
     "load_feeder_file",
     "PowerFlowSolution",
-    "scale_loads",
-    "clamp_hub_setpoint",
     "solve_power_flow",
     "DEFAULT_TOLERANCE_PU",
     "DEFAULT_MAX_ITERATIONS",

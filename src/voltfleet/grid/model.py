@@ -2,8 +2,9 @@
 
 A feeder is a tree rooted at the single slack bus. All records are
 immutable after construction; validation happens once, up front, so the
-solver can assume a well-formed network. The per-unit matrices the
-solver needs are compiled once per feeder, on its first solve.
+solver can assume a well-formed network. The per-unit matrices and the
+base-load vector the solver needs are compiled once per feeder, on its
+first solve.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class Feeder:
     def slack_index(self) -> int:
         return self._slack
 
-    @property
-    def hub_by_bus(self) -> dict[str, Hub]:
-        return {h.bus: h for h in self.hubs}
-
     @cached_property
     def network(self) -> Network:
         """Per-unit matrices of the feeder, compiled on first use."""
@@ -95,16 +92,19 @@ class Network:
     `V0 - path_impedance @ I` is the voltage profile that bus currents I
     draw. Its slack row and column are zero. `admittance` is the bus
     admittance matrix. Each line is normalized on the voltage base of its
-    end farther from the slack.
+    end farther from the slack. `base_load_kw` is the (n, 2) array of
+    (P_kw, Q_kvar) each bus consumes at load multiplier 1, summed over
+    its loads.
     """
 
     path_impedance: np.ndarray
     admittance: np.ndarray
     nonslack: np.ndarray
+    base_load_kw: np.ndarray
 
 
 def compile_network(feeder: Feeder) -> Network:
-    """Both matrices from one breadth-first pass over the tree."""
+    """Both matrices from one breadth-first pass over the tree, and the base load."""
     n = len(feeder.buses)
     adjacency: list[list[tuple[int, complex]]] = [[] for _ in range(n)]
     for ln in feeder.lines:
@@ -136,10 +136,14 @@ def compile_network(feeder: Feeder) -> Network:
                 incidence[v, v] = 1.0
                 incidence[v, u] = -1.0
                 queue.append(v)
+    base_load = np.zeros((n, 2))
+    for lp in feeder.loads:
+        base_load[feeder.bus_index(lp.bus)] += (lp.p_base_kw, lp.q_base_kvar)
     return Network(
         path_impedance=(path.T * z_pu) @ path,
         admittance=(incidence.T * y_pu) @ incidence,
         nonslack=np.delete(np.arange(n), root),
+        base_load_kw=base_load,
     )
 
 

@@ -5,26 +5,24 @@ current-summation variant in matrix form (Teng's BIBC/BCBV direct
 method): node currents from the latest voltages, then every voltage at
 once as the slack voltage minus the path-impedance matrix times those
 currents, which is the leaf-to-root current sum and root-to-leaf drop
-of the loop sweep in one product. The matrices are compiled once per
-feeder (`Feeder.network`). Convergence is judged on the per-bus complex
-power mismatch, not on the voltage update, so a converged solution
-certifies power balance.
+of the loop sweep in one product. The matrices and the base load per
+bus are compiled once per feeder (`Feeder.network`), so a solve takes
+only the load multiplier and the hub injections, as arrays. Convergence
+is judged on the per-bus complex power mismatch, not on the voltage
+update, so a converged solution certifies power balance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .model import Feeder, Hub
+from .model import Feeder
 
 DEFAULT_TOLERANCE_PU = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
-
-Demands = Mapping[str, tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -40,50 +38,38 @@ class PowerFlowSolution:
         return float(self.v_pu[self.bus_ids.index(bus_id)])
 
 
-def scale_loads(feeder: Feeder, lam: float) -> dict[str, tuple[float, float]]:
-    """Per-bus (P, Q) demand in kW/kvar at load multiplier lam >= 0."""
-    if lam < 0:
-        raise ValueError("load multiplier must be >= 0")
-    demands: dict[str, tuple[float, float]] = {}
-    for lp in feeder.loads:
-        p, q = demands.get(lp.bus, (0.0, 0.0))
-        demands[lp.bus] = (p + lam * lp.p_base_kw, q + lam * lp.q_base_kvar)
-    return demands
-
-
-def clamp_hub_setpoint(hub: Hub, p_kw: float, q_kvar: float) -> tuple[float, float]:
-    """Clip a requested hub setpoint to the rated limits, componentwise."""
-    p = min(max(p_kw, -hub.p_max_kw), hub.p_max_kw)
-    q = min(max(q_kvar, -hub.q_max_kvar), hub.q_max_kvar)
-    return p, q
-
-
 def solve_power_flow(
     feeder: Feeder,
-    demands: Demands,
-    hub_injections: Demands | None = None,
+    lam: float,
+    hub_index: np.ndarray | None = None,
+    hub_pq: np.ndarray | None = None,
     v_slack_pu: float = 1.0,
     tolerance_pu: float = DEFAULT_TOLERANCE_PU,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> PowerFlowSolution:
-    """Backward/forward sweep solve.
+    """Backward/forward sweep solve at load multiplier `lam` >= 0.
 
-    `demands` maps bus id -> consumed (P_kw, Q_kvar); `hub_injections`
-    maps bus id -> injected (P_kw, Q_kvar), positive injecting into the
-    grid (reduces net demand at the bus). Non-convergence is reported
-    via `converged=False`; voltages are then the last iterate, never a
-    stale earlier state.
+    Every bus consumes `lam` times its base load (`Network.base_load_kw`).
+    `hub_pq` is an (H, 2) array of injected (P_kw, Q_kvar), one row per
+    bus index in `hub_index`, positive injecting into the grid (reduces
+    net demand at the bus). Non-convergence is reported via
+    `converged=False`; voltages are then the last iterate, never a stale
+    earlier state.
     """
+    if lam < 0:
+        raise ValueError("load multiplier must be >= 0")
     n = len(feeder.buses)
     net = feeder.network
     s_base_kw = feeder.base_mva * 1000.0
 
-    s_net = np.zeros(n, dtype=np.complex128)  # consumed power, p.u.
-    for bus_id, (p, q) in demands.items():
-        s_net[feeder.bus_index(bus_id)] += complex(p, q) / s_base_kw
-    if hub_injections:
-        for bus_id, (p, q) in hub_injections.items():
-            s_net[feeder.bus_index(bus_id)] -= complex(p, q) / s_base_kw
+    # (P, Q) each bus consumes, in p.u. P and Q are divided as floats, not
+    # as one complex (numpy multiplies that by the reciprocal), and load and
+    # injection each before the subtraction, so every term is correctly
+    # rounded; a row of two float64 is then one complex128
+    pq = lam * net.base_load_kw / s_base_kw
+    if hub_pq is not None:
+        pq[hub_index] -= hub_pq / s_base_kw
+    s_net = pq.view(np.complex128)[:, 0]
 
     root = feeder.slack_index
     v_slack = complex(v_slack_pu, 0.0)

@@ -60,23 +60,12 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_agent(policy: str | None, scenario) -> SacAgent | None:
-    if policy is None:
-        return None
-    agent = SacAgent.restore(policy)
-    expect = len(scenario.feeder.buses)
-    if agent.obs_dim != expect:
-        raise ValueError(
-            f"policy was trained for {agent.obs_dim} buses, feeder has {expect}"
-        )
-    return agent
-
-
 def _run_batch(scenario_names, controllers, policy, ev_constrained, seed):
+    # evaluate() checks the policy's sizes against each scenario
+    agent = None if policy is None else SacAgent.restore(policy)
     runs = []
     for name in scenario_names:
         scenario = load_scenario(name)
-        agent = _load_agent(policy, scenario)
         for ctrl in controllers:
             if ctrl == "rl" and agent is None:
                 raise ValueError("--policy is required for the rl controller")

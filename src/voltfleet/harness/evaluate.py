@@ -10,7 +10,7 @@ import numpy as np
 from ..droop import droop_control
 from ..env import V2GEnv, config_from_scenario
 from ..fleet import DegradationParams, available_count
-from ..grid import scale_loads, solve_power_flow
+from ..grid import solve_power_flow
 from ..scenario import Scenario, build_fleets
 from .metrics import DayMetrics, compute_metrics
 
@@ -62,37 +62,20 @@ def _droop_action(env: V2GEnv, scenario: Scenario) -> np.ndarray:
     handed to the environment reproduces itself under the final solve.
     """
     curve = scenario.droop
-    setpoints = droop_control(env.hubs, env.current_solution, curve)
+    setpoints = droop_control(env.current_solution, env.hub_index, env.ratings, curve)
     if curve.fixed_point:
         # damped iteration: the raw response map oscillates on stiff feeders
-        feeder = env.config.feeder
-        demands = scale_loads(feeder, env.current_lambda)
         for _ in range(_FP_MAX_ITERS):
-            nxt = solve_power_flow(feeder, demands, hub_injections=setpoints)
+            nxt = solve_power_flow(env.config.feeder, env.current_lambda,
+                                   env.hub_index, setpoints)
             if not nxt.converged:
                 break
-            target = droop_control(env.hubs, nxt, curve)
-            gap = max(
-                max(abs(target[b][0] - setpoints[b][0]),
-                    abs(target[b][1] - setpoints[b][1]))
-                for b in setpoints
-            )
-            if gap < _FP_TOL_KW:
+            target = droop_control(nxt, env.hub_index, env.ratings, curve)
+            if np.abs(target - setpoints).max() < _FP_TOL_KW:
                 setpoints = target
                 break
-            setpoints = {
-                b: (
-                    0.5 * setpoints[b][0] + 0.5 * target[b][0],
-                    0.5 * setpoints[b][1] + 0.5 * target[b][1],
-                )
-                for b in setpoints
-            }
-    action = np.empty(2 * len(env.hubs))
-    for i, hub in enumerate(env.hubs):
-        p, q = setpoints[hub.bus]
-        action[2 * i] = p / hub.p_max_kw
-        action[2 * i + 1] = q / hub.q_max_kvar
-    return action
+            setpoints = 0.5 * setpoints + 0.5 * target
+    return (setpoints / env.ratings).reshape(-1)
 
 
 def _fleet_snapshot(env: V2GEnv, hour: int) -> tuple[float | None, int]:
@@ -119,12 +102,22 @@ def evaluate(
 
     The fleet draw (when ev_constrained) is seeded from the run seed alone,
     so different controllers face identical fleets and any difference in
-    the records comes from control, not initialization.
+    the records comes from control, not initialization. An rl agent must
+    take one voltage per bus and give a (P, Q) pair per hub; any other
+    size is a ValueError before the day starts.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}")
-    if controller == "rl" and agent is None:
-        raise ValueError("controller 'rl' needs an agent")
+    if controller == "rl":
+        if agent is None:
+            raise ValueError("controller 'rl' needs an agent")
+        n_bus, n_act = len(scenario.feeder.buses), 2 * len(scenario.hub_buses)
+        if (agent.obs_dim, agent.act_dim) != (n_bus, n_act):
+            raise ValueError(
+                f"policy takes {agent.obs_dim} bus voltages and gives {agent.act_dim} "
+                f"actions; scenario {scenario.name} has {n_bus} buses and needs "
+                f"{n_act} actions (2 per hub)"
+            )
     run_seed = scenario.seed if seed is None else seed
 
     fleets = None

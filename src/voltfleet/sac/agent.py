@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,19 @@ import numpy as np
 from .nets import GaussianPolicy, QNetwork
 from .replay import ReplayBuffer
 from .tensor import Tensor, minimum
+
+
+@contextmanager
+def frozen(params: list[Tensor]):
+    """Inside the block the parameters record no graph and get no gradient."""
+    before = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, before):
+            p.requires_grad = flag
 
 
 @dataclass(frozen=True)
@@ -117,9 +131,10 @@ class SacAgent:
         act = Tensor(batch["act"])
         n = obs.shape[0]
 
-        # bootstrap target (no gradients flow here)
+        # bootstrap target, recorded on no tape
         eps_next = self._noise_rng.standard_normal((n, self.act_dim))
-        next_a, next_logp = self.policy.sample(Tensor(batch["next_obs"]), eps_next)
+        with frozen(self.policy.params()):
+            next_a, next_logp = self.policy.sample(Tensor(batch["next_obs"]), eps_next)
         q_next = np.minimum(
             self.q1_target.forward_np(batch["next_obs"], next_a.data),
             self.q2_target.forward_np(batch["next_obs"], next_a.data),
@@ -139,17 +154,12 @@ class SacAgent:
         # so their weights are frozen for this pass and get no gradient
         self.actor_opt.zero_grad()
         self.critic_opt.zero_grad()
-        for p in self.critic_opt.params:
-            p.requires_grad = False
-        try:
+        with frozen(self.critic_opt.params):
             eps_pi = self._noise_rng.standard_normal((n, self.act_dim))
             pi_a, logp = self.policy.sample(obs, eps_pi)
             q_pi = minimum(self.q1.forward(obs, pi_a), self.q2.forward(obs, pi_a))
             actor_loss = (logp * self.alpha - q_pi).mean()
             actor_loss.backward()
-        finally:
-            for p in self.critic_opt.params:
-                p.requires_grad = True
         self.actor_opt.step()
 
         # temperature, driven toward the entropy target

@@ -64,8 +64,11 @@ class DenseNet:
         """The whole stack as one tape node.
 
         Its gradients have the bits of the op-by-op tape (matmul, bias
-        add, ReLU per layer): every gradient that tape passed on went
-        through `Tensor._accumulate`, whose + 0.0 is repeated here.
+        add, ReLU per layer). The backward copies the incoming gradient
+        with + 0.0, as that tape's `Tensor._accumulate` did, then masks it
+        in place. A -0.0 left by the mask can only flip the sign of a zero,
+        and every gradient leaves the node through `_accumulate`, whose
+        + 0.0 turns -0.0 into +0.0.
         """
         saved: list[tuple[np.ndarray, np.ndarray | None]] = []
         out = self._layers(x.data, saved)
@@ -76,7 +79,6 @@ class DenseNet:
                 h, mask = saved[i]
                 if mask is not None:
                     g *= mask
-                    g += 0.0
                 w, b = self.weights[i], self.biases[i]
                 if b.requires_grad:
                     b._accumulate(g.sum(axis=0))

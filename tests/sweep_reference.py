@@ -7,9 +7,15 @@ runs the same fixed-point iteration as matrix products on a feeder
 compiled once; the property tests in `test_power_flow.py` run both on the
 same inputs and compare. It shares only the data model, the default
 tolerances and `PowerFlowSolution` with the package.
+
+The reference and the Newton-Raphson oracle (`nr_oracle.py`) take their
+loads and injections as bus-keyed dicts; `scale_loads` builds the demand
+dict at a load multiplier, one load at a time.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 import numpy as np
 
@@ -19,7 +25,19 @@ from voltfleet.grid import (
     Feeder,
     PowerFlowSolution,
 )
-from voltfleet.grid.powerflow import Demands
+
+Demands = Mapping[str, tuple[float, float]]
+
+
+def scale_loads(feeder: Feeder, lam: float) -> dict[str, tuple[float, float]]:
+    """Per-bus (P, Q) demand in kW/kvar at load multiplier lam >= 0."""
+    if lam < 0:
+        raise ValueError("load multiplier must be >= 0")
+    demands: dict[str, tuple[float, float]] = {}
+    for lp in feeder.loads:
+        p, q = demands.get(lp.bus, (0.0, 0.0))
+        demands[lp.bus] = (p + lam * lp.p_base_kw, q + lam * lp.q_base_kvar)
+    return demands
 
 
 def _tree_order(feeder: Feeder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nr_oracle import solve_newton
+from sweep_reference import scale_loads
 from test_autodiff import fd_check
 from test_power_flow import random_radial_feeder, two_bus, two_bus_closed_form
 
@@ -22,7 +23,7 @@ from voltfleet.env import (
     reward_from_voltages,
 )
 from voltfleet.fleet import FleetState, allocate
-from voltfleet.grid import Hub, scale_loads, solve_power_flow
+from voltfleet.grid import solve_power_flow
 from voltfleet.harness import build_report, evaluate
 from voltfleet.harness.cli import main
 from voltfleet.sac import SacAgent, SacConfig, Tensor, minimum
@@ -37,15 +38,14 @@ def test_criterion_1_power_flow_matches_oracle():
     for _ in range(200):
         n = int(rng.integers(3, 11))
         feeder = random_radial_feeder(rng, n)
-        demands = scale_loads(feeder, 1.0)
-        sweep = solve_power_flow(feeder, demands)
-        vm, ok = solve_newton(feeder, demands)
+        sweep = solve_power_flow(feeder, 1.0)
+        vm, ok = solve_newton(feeder, scale_loads(feeder, 1.0))
         assert sweep.converged and ok
         assert np.max(np.abs(sweep.v_pu - vm)) < 1e-6
 
     r, x, p_kw, q_kvar = 0.02, 0.04, 300.0, 100.0
     feeder = two_bus(r, x, p_kw, q_kvar)
-    sol = solve_power_flow(feeder, scale_loads(feeder, 1.0))
+    sol = solve_power_flow(feeder, 1.0)
     analytic = two_bus_closed_form(r, x, p_kw / 1000.0, q_kvar / 1000.0)
     assert abs(sol.voltage_at("2") - analytic) < 1e-6
     assert time.perf_counter() - start < 10.0
@@ -85,9 +85,9 @@ def test_criterion_2_exact_arithmetic_examples():
         assert abs(droop_output(curve, v) - out) < tol
 
     # normalized action -> kW/kVAr on a 500/400 hub
-    hub = (Hub("h", 500.0, 400.0),)
-    assert action_to_setpoints(np.array([1.0, 1.0]), hub)["h"] == (500.0, 400.0)
-    sp = action_to_setpoints(np.array([-0.5, 0.25]), hub)["h"]
+    ratings = np.array([[500.0, 400.0]])  # one hub: (p_max_kw, q_max_kvar)
+    assert action_to_setpoints(np.array([1.0, 1.0]), ratings)[0].tolist() == [500.0, 400.0]
+    sp = action_to_setpoints(np.array([-0.5, 0.25]), ratings)[0]
     assert abs(sp[0] - (-250.0)) < tol and abs(sp[1] - 100.0) < tol
     assert time.perf_counter() - start < 1.0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voltfleet.droop import DroopCurve, droop_control, droop_output
-from voltfleet.grid import Hub, PowerFlowSolution
+from voltfleet.grid import PowerFlowSolution
 
 CURVE = DroopCurve()
 
@@ -64,20 +64,44 @@ def _solution(bus_ids, voltages):
     )
 
 
+RATINGS = np.array([[500.0, 400.0], [500.0, 400.0]])
+
+
 def test_droop_control_scales_to_ratings():
-    hubs = [Hub("a", 500.0, 400.0), Hub("b", 500.0, 400.0)]
     sol = _solution(["slack", "a", "b"], [1.0, 0.90, 1.0])
-    setpoints = droop_control(hubs, sol)
-    assert setpoints["a"] == pytest.approx((500.0, 400.0), abs=1e-9)
-    assert setpoints["b"] == (0.0, 0.0)
+    setpoints = droop_control(sol, np.array([1, 2]), RATINGS)
+    assert setpoints[0].tolist() == pytest.approx([500.0, 400.0], abs=1e-9)
+    assert setpoints[1].tolist() == [0.0, 0.0]
 
 
 def test_droop_is_local_per_hub():
-    hubs = [Hub("a", 500.0, 400.0), Hub("b", 500.0, 400.0)]
+    hubs = np.array([0, 1])  # buses a and b
     base = _solution(["a", "b", "c"], [0.93, 0.97, 1.0])
     moved = _solution(["a", "b", "c"], [0.93, 0.97, 0.85])  # other bus swings
-    assert droop_control(hubs, base) == droop_control(hubs, moved)
+    assert np.array_equal(droop_control(base, hubs, RATINGS),
+                          droop_control(moved, hubs, RATINGS))
     # permuting which hub sags swaps the outputs, nothing else
     swapped = _solution(["a", "b", "c"], [0.97, 0.93, 1.0])
-    sp, sw = droop_control(hubs, base), droop_control(hubs, swapped)
-    assert sp["a"] == sw["b"] and sp["b"] == sw["a"]
+    sp, sw = droop_control(base, hubs, RATINGS), droop_control(swapped, hubs, RATINGS)
+    assert np.array_equal(sp[0], sw[1]) and np.array_equal(sp[1], sw[0])
+
+
+def _piecewise(curve, v):
+    """The curve one voltage at a time, branch by branch."""
+    lo_edge = 1.0 - curve.deadband_pu
+    hi_edge = 1.0 + curve.deadband_pu
+    if lo_edge <= v <= hi_edge:
+        return 0.0
+    if v < lo_edge:
+        return min((lo_edge - v) / (lo_edge - curve.v_sat_low_pu), 1.0)
+    return -min((v - hi_edge) / (curve.v_sat_high_pu - hi_edge), 1.0)
+
+
+def test_droop_output_on_an_array_has_the_bits_of_the_branches():
+    vs = np.concatenate([np.linspace(0.85, 1.15, 6001), [0.9, 0.98, 1.02, 1.1, 0.5, 2.0]])
+    outs = droop_output(CURVE, vs)
+    assert outs.shape == vs.shape
+    want = np.array([_piecewise(CURVE, float(v)) for v in vs])
+    assert outs.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="positive"):
+        droop_output(CURVE, np.array([1.0, 0.0]))

@@ -12,7 +12,7 @@ from voltfleet.env import (
     reward_from_voltages,
 )
 from voltfleet.fleet import FleetState
-from voltfleet.grid import load_feeder_file, scale_loads, solve_power_flow
+from voltfleet.grid import load_feeder_file, solve_power_flow
 from voltfleet.resources import feeder_path
 from voltfleet.scenario import build_fleets, load_scenario
 
@@ -66,10 +66,26 @@ def test_reward_sums_both_sides():
 
 
 def test_action_scaling_by_hub_rating(two_bus):
-    hubs = tuple(two_bus.hubs)  # rated 500 kW / 400 kvar
-    sp = action_to_setpoints(np.array([-0.5, 0.25]), hubs)
-    assert sp["2"] == pytest.approx((-250.0, 100.0), abs=1e-12)
-    assert action_to_setpoints(np.array([1.0, 1.0]), hubs, active=False)["2"] == (0.0, 0.0)
+    env = V2GEnv(eval_config(two_bus))
+    assert env.hub_index.tolist() == [two_bus.bus_index("2")]
+    assert env.ratings.tolist() == [[500.0, 400.0]]
+    sp = action_to_setpoints(np.array([-0.5, 0.25]), env.ratings)
+    assert sp.tolist()[0] == pytest.approx([-250.0, 100.0], abs=1e-12)
+    off = action_to_setpoints(np.array([1.0, 1.0]), env.ratings, active=False)
+    assert off.tolist() == [[0.0, 0.0]]
+
+
+def test_clipped_actions_stay_within_ratings(five_bus):
+    env = V2GEnv(train_config(five_bus), seed=0)
+    env.reset()
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        res = env.step(rng.uniform(-3.0, 3.0, env.action_size))
+        delivered = np.array(list(res.info["delivered"].values()))
+        assert np.all(np.abs(delivered) <= env.ratings)
+    res = env.step(np.tile([5.0, -5.0], len(env.hubs)))
+    assert np.array_equal(np.array(list(res.info["delivered"].values())),
+                          env.ratings * [1.0, -1.0])
 
 
 def test_config_validation(two_bus):
@@ -100,7 +116,7 @@ def test_state_before_reset_is_an_error(two_bus, name):
 def test_reset_returns_uncontrolled_voltages(two_bus):
     env = V2GEnv(eval_config(two_bus, lam=1.3))
     obs = env.reset()
-    direct = solve_power_flow(two_bus, scale_loads(two_bus, 1.3))
+    direct = solve_power_flow(two_bus, 1.3)
     assert np.array_equal(obs, direct.v_pu)
     assert env.current_solution.converged
     assert env.current_lambda == 1.3

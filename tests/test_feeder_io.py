@@ -38,7 +38,7 @@ def test_parse_round_trip():
         "src", "load", 30.0, 20.0,
     )
     assert feeder.loads[0] == LoadPoint("load", 500.0, 250.0)
-    assert feeder.hub_by_bus["load"].q_max_kvar == 400.0
+    assert feeder.hubs == (Hub("load", 500.0, 400.0),)
 
 
 def test_base_mva_defaults_to_one():

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import importlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 import voltfleet.fleet as fleet_module
 from voltfleet.droop import DroopCurve, droop_control
-from voltfleet.grid import scale_loads, solve_power_flow
+from voltfleet.grid import solve_power_flow
 from voltfleet.harness.cli import main
 from voltfleet.harness.evaluate import HourRecord, _droop_action, evaluate
 from voltfleet.harness.metrics import compute_metrics
@@ -176,6 +179,26 @@ def test_rl_controller_with_fresh_agent(five_bus_scenario):
         evaluate(five_bus_scenario, "pid")
 
 
+@pytest.mark.parametrize(
+    "name, obs_dim, act_dim, sizes",
+    [
+        ("multi_hub_mild", 34, 2, "34 bus voltages and gives 2 actions; scenario "
+         "multi_hub_mild has 34 buses and needs 10 actions"),
+        ("single_hub_mild", 5, 2, "5 bus voltages and gives 2 actions; scenario "
+         "single_hub_mild has 34 buses and needs 2 actions"),
+    ],
+)
+def test_rl_rejects_a_policy_of_another_size_before_the_day(name, obs_dim, act_dim, sizes,
+                                                             monkeypatch):
+    def no_step(env, action):
+        raise AssertionError("the day started")
+
+    monkeypatch.setattr(V2GEnv, "step", no_step)
+    agent = SacAgent(obs_dim, act_dim, seed=0)
+    with pytest.raises(ValueError, match=re.escape(sizes)):
+        evaluate(load_scenario(name), "rl", agent=agent)
+
+
 def test_fixed_point_droop_self_consistent(five_bus_scenario):
     sc = dataclasses.replace(
         five_bus_scenario,
@@ -184,13 +207,12 @@ def test_fixed_point_droop_self_consistent(five_bus_scenario):
     env = V2GEnv(config_from_scenario(sc, mode="eval"))
     env.reset()
     action = _droop_action(env, sc)
-    hub = env.hubs[0]
-    setpoint = (action[0] * hub.p_max_kw, action[1] * hub.q_max_kvar)
-    demands = scale_loads(sc.feeder, env.current_lambda)
-    sol = solve_power_flow(sc.feeder, demands, hub_injections={hub.bus: setpoint})
-    again = droop_control(env.hubs, sol, DroopCurve())[hub.bus]
-    assert again[0] == pytest.approx(setpoint[0], abs=0.5)  # kW scale
-    assert again[1] == pytest.approx(setpoint[1], abs=0.5)
+    assert len(env.hubs) == 1
+    setpoint = action.reshape(-1, 2) * env.ratings
+    sol = solve_power_flow(sc.feeder, env.current_lambda, env.hub_index, setpoint)
+    again = droop_control(sol, env.hub_index, env.ratings, DroopCurve())
+    assert again[0, 0] == pytest.approx(setpoint[0, 0], abs=0.5)  # kW scale
+    assert again[0, 1] == pytest.approx(setpoint[0, 1], abs=0.5)
 
     run = evaluate(sc, "droop")
     assert run.metrics.nonconverged_hours == 0
@@ -351,3 +373,33 @@ def test_cli_train_smoke(tmp_path, capsys):
     assert ckpt.exists()
     agent = SacAgent.restore(ckpt)
     assert agent.obs_dim == 5
+
+
+# ---- byte-identity pins of the shipped 34-bus days -------------------
+
+PINS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "pins.json").read_text()
+)
+# (label, controller, ev_constrained): the days a pinned report body covers
+PINNED_DAYS = (
+    ("none", "none", False),
+    ("droop", "droop", False),
+    ("none_ev", "none", True),
+    ("droop_ev", "droop", True),
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINS["report_sha256"]))
+def test_shipped_days_match_their_pins(name):
+    """Hourly CSVs and the report body at the scenario's own seed, byte for byte."""
+    sc = load_scenario(name)
+    runs = []
+    for label, controller, ev in PINNED_DAYS:
+        run = evaluate(sc, controller, ev_constrained=ev)
+        assert _sha256(hourly_csv(run)) == PINS["hourly_csv_sha256"][f"{name}/{label}"], label
+        runs.append(run)
+    assert _sha256(build_report(runs)) == PINS["report_sha256"][name]

@@ -13,14 +13,18 @@ from voltfleet.grid import (
     Line,
     LoadPoint,
     build_feeder,
-    clamp_hub_setpoint,
     load_feeder_file,
-    scale_loads,
     solve_power_flow,
 )
 from voltfleet.resources import feeder_path
 
 from nr_oracle import _ybus, solve_newton
+
+
+def injection_arrays(feeder, injections):
+    """The (hub_index, hub_pq) arrays of a bus-keyed injection dict."""
+    index = np.array([feeder.bus_index(b) for b in injections], dtype=int)
+    return index, np.array(list(injections.values()), dtype=float).reshape(-1, 2)
 
 
 def two_bus(r_ohm=0.02, x_ohm=0.04, p_kw=300.0, q_kvar=100.0):
@@ -72,7 +76,7 @@ KV_LEVELS = (0.48, 4.16, 12.47, 24.9)
 
 
 def random_case(rng, n_buses, lam):
-    """Random radial feeder with its demands at loading lam and hub injections.
+    """Random radial feeder with its loading lam and hub injections (by bus).
 
     Voltage bases are mixed, the slack bus sits anywhere in the bus list
     and carries a load of its own, and lines list their ends in either
@@ -104,7 +108,7 @@ def random_case(rng, n_buses, lam):
         h.bus: tuple(float(v) for v in rng.uniform(-0.3, 0.3, size=2) * s_base_kw)
         for h in hubs
     }
-    return feeder, scale_loads(feeder, lam), injections
+    return feeder, lam, injections
 
 
 random_cases = st.builds(
@@ -122,9 +126,9 @@ def _phasors(sol):
 @settings(max_examples=300, deadline=None)
 @given(random_cases)
 def test_compiled_solve_matches_loop_sweep(case):
-    feeder, demands, injections = case
-    want = ref.solve_power_flow(feeder, demands, injections)
-    got = solve_power_flow(feeder, demands, injections)
+    feeder, lam, injections = case
+    want = ref.solve_power_flow(feeder, ref.scale_loads(feeder, lam), injections)
+    got = solve_power_flow(feeder, lam, *injection_arrays(feeder, injections))
     assert (got.converged, got.iterations) == (want.converged, want.iterations)
     assert got.bus_ids == want.bus_ids
     if got.converged:
@@ -135,17 +139,20 @@ def test_random_cases_reach_past_the_nose():
     rng = np.random.default_rng(11)
     outcomes = []
     for _ in range(60):
-        case = random_case(rng, int(rng.integers(2, 41)), float(rng.uniform(0.0, 4.0)))
-        outcomes.append(solve_power_flow(*case).converged)
+        feeder, lam, injections = random_case(
+            rng, int(rng.integers(2, 41)), float(rng.uniform(0.0, 4.0))
+        )
+        sol = solve_power_flow(feeder, lam, *injection_arrays(feeder, injections))
+        outcomes.append(sol.converged)
     assert 0.1 < np.mean(outcomes) < 0.9
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_cases)
 def test_compiled_solve_matches_newton(case):
-    feeder, demands, injections = case
-    sweep = solve_power_flow(feeder, demands, injections)
-    vm, ok = solve_newton(feeder, demands, injections)
+    feeder, lam, injections = case
+    sweep = solve_power_flow(feeder, lam, *injection_arrays(feeder, injections))
+    vm, ok = solve_newton(feeder, ref.scale_loads(feeder, lam), injections)
     assume(sweep.converged and ok)
     assert np.max(np.abs(sweep.v_pu - vm)) < 1e-6
 
@@ -175,14 +182,14 @@ def test_feeder_compiled_once_on_first_solve(monkeypatch):
     assert compiled == []
     assert "network" not in vars(built) and "network" not in vars(loaded)
     for lam in (0.5, 1.5):
-        solve_power_flow(loaded, scale_loads(loaded, lam))
+        solve_power_flow(loaded, lam)
     assert len(compiled) == 1 and compiled[0] is loaded
 
 
 def test_two_bus_matches_closed_form():
     r, x, p_kw, q_kvar = 0.02, 0.04, 300.0, 100.0
     feeder = two_bus(r, x, p_kw, q_kvar)
-    sol = solve_power_flow(feeder, scale_loads(feeder, 1.0))
+    sol = solve_power_flow(feeder, 1.0)
     assert sol.converged
     expected = two_bus_closed_form(r, x, p_kw / 1000.0, q_kvar / 1000.0)
     assert sol.voltage_at("2") == pytest.approx(expected, abs=1e-9)
@@ -194,7 +201,7 @@ def test_two_bus_heavy_load_closed_form():
     # deep sag (~0.88 pu) but still inside the solvable region
     r, x, p_kw, q_kvar = 0.05, 0.09, 1200.0, 500.0
     feeder = two_bus(r, x, p_kw, q_kvar)
-    sol = solve_power_flow(feeder, scale_loads(feeder, 1.0))
+    sol = solve_power_flow(feeder, 1.0)
     assert sol.converged
     expected = two_bus_closed_form(r, x, 1.2, 0.5)
     assert sol.voltage_at("2") == pytest.approx(expected, abs=1e-8)
@@ -202,7 +209,7 @@ def test_two_bus_heavy_load_closed_form():
 
 def test_zero_load_is_flat():
     feeder = two_bus()
-    sol = solve_power_flow(feeder, {}, v_slack_pu=1.03)
+    sol = solve_power_flow(feeder, 0.0, v_slack_pu=1.03)
     assert sol.converged
     assert np.all(sol.v_pu == 1.03)
     assert np.all(sol.angle_rad == 0.0)
@@ -211,7 +218,7 @@ def test_zero_load_is_flat():
 
 def test_slack_only_feeder_solves_flat():
     feeder = build_feeder([Bus("a", 1.0, is_slack=True)], [], [LoadPoint("a", 10.0, 1.0)], [])
-    sol = solve_power_flow(feeder, scale_loads(feeder, 1.0), v_slack_pu=1.02)
+    sol = solve_power_flow(feeder, 1.0, v_slack_pu=1.02)
     assert sol.converged and sol.iterations == 1
     assert sol.v_pu.tolist() == [1.02]
 
@@ -219,7 +226,7 @@ def test_slack_only_feeder_solves_flat():
 def test_slack_voltage_pinned_exactly():
     feeder = two_bus()
     for vs in (0.97, 1.0, 1.05):
-        sol = solve_power_flow(feeder, scale_loads(feeder, 1.0), v_slack_pu=vs)
+        sol = solve_power_flow(feeder, 1.0, v_slack_pu=vs)
         assert sol.v_pu[feeder.slack_index] == vs  # bit-for-bit, not approx
 
 
@@ -228,13 +235,13 @@ def test_matches_newton_on_random_feeders():
     checked = 0
     for _ in range(12):
         feeder = random_radial_feeder(rng, int(rng.integers(3, 13)))
-        demands = scale_loads(feeder, float(rng.uniform(0.2, 1.2)))
+        lam = float(rng.uniform(0.2, 1.2))
         hub = feeder.hubs[0]
         injections = {
             hub.bus: (float(rng.uniform(-300.0, 300.0)), float(rng.uniform(-200.0, 200.0)))
         }
-        sweep = solve_power_flow(feeder, demands, injections)
-        vm, ok = solve_newton(feeder, demands, injections)
+        sweep = solve_power_flow(feeder, lam, *injection_arrays(feeder, injections))
+        vm, ok = solve_newton(feeder, ref.scale_loads(feeder, lam), injections)
         if not (sweep.converged and ok):
             continue
         assert np.max(np.abs(sweep.v_pu - vm)) < 1e-6
@@ -246,8 +253,8 @@ def test_power_balance_at_every_bus():
     # certified mismatch: recompute S = V conj(Y V) with the independent Ybus
     rng = np.random.default_rng(77)
     feeder = random_radial_feeder(rng, 9)
-    demands = scale_loads(feeder, 1.0)
-    sol = solve_power_flow(feeder, demands)
+    demands = ref.scale_loads(feeder, 1.0)
+    sol = solve_power_flow(feeder, 1.0)
     assert sol.converged
 
     v = sol.v_pu * np.exp(1j * sol.angle_rad)
@@ -271,7 +278,7 @@ def test_voltage_monotone_in_loading():
     feeder = random_radial_feeder(rng, 8)
     mins = []
     for lam in (0.0, 0.5, 1.0, 1.5):
-        sol = solve_power_flow(feeder, scale_loads(feeder, lam))
+        sol = solve_power_flow(feeder, lam)
         assert sol.converged
         mins.append(float(np.min(sol.v_pu)))
     assert all(a > b for a, b in zip(mins, mins[1:]))
@@ -279,47 +286,41 @@ def test_voltage_monotone_in_loading():
 
 def test_injection_raises_local_voltage():
     feeder = two_bus(p_kw=800.0, q_kvar=300.0)
-    base = solve_power_flow(feeder, scale_loads(feeder, 1.0))
-    boosted = solve_power_flow(
-        feeder, scale_loads(feeder, 1.0), hub_injections={"2": (400.0, 200.0)}
-    )
+    hub = np.array([feeder.bus_index("2")])
+    base = solve_power_flow(feeder, 1.0)
+    boosted = solve_power_flow(feeder, 1.0, hub, np.array([[400.0, 200.0]]))
     assert boosted.voltage_at("2") > base.voltage_at("2")
     # absorbing power depresses it
-    sagged = solve_power_flow(
-        feeder, scale_loads(feeder, 1.0), hub_injections={"2": (-400.0, -200.0)}
-    )
+    sagged = solve_power_flow(feeder, 1.0, hub, np.array([[-400.0, -200.0]]))
     assert sagged.voltage_at("2") < base.voltage_at("2")
 
 
 def test_nonconvergence_is_flagged_not_raised():
     # load far beyond the maximum power transfer of the line
     feeder = two_bus(p_kw=60000.0, q_kvar=30000.0)
-    sol = solve_power_flow(feeder, scale_loads(feeder, 1.0))
+    sol = solve_power_flow(feeder, 1.0)
     assert not sol.converged
     assert sol.iterations <= 100
     assert sol.v_pu[feeder.slack_index] == 1.0  # slack stays pinned regardless
 
 
-def test_scale_loads_basics():
+def test_base_load_scales_with_lam():
     feeder = two_bus(p_kw=300.0, q_kvar=100.0)
-    assert scale_loads(feeder, 0.0) == {"2": (0.0, 0.0)}
-    assert scale_loads(feeder, 2.0) == {"2": (600.0, 200.0)}
-    with pytest.raises(ValueError):
-        scale_loads(feeder, -0.1)
+    assert feeder.network.base_load_kw.tolist() == [[0.0, 0.0], [300.0, 100.0]]
+    assert np.all(solve_power_flow(feeder, 0.0).v_pu == 1.0)
+    doubled = solve_power_flow(two_bus(p_kw=600.0, q_kvar=200.0), 1.0)
+    assert np.array_equal(solve_power_flow(feeder, 2.0).v_pu, doubled.v_pu)
+    with pytest.raises(ValueError, match=">= 0"):
+        solve_power_flow(feeder, -0.1)
 
 
-def test_scale_loads_aggregates_per_bus():
+def test_base_load_aggregates_per_bus():
     feeder = build_feeder(
         buses=[Bus("a", 1.0, is_slack=True), Bus("b", 1.0)],
         lines=[Line("a", "b", 0.1, 0.1)],
         loads=[LoadPoint("b", 100.0, 40.0), LoadPoint("b", 50.0, 10.0)],
         hubs=[],
     )
-    assert scale_loads(feeder, 1.0) == {"b": (150.0, 50.0)}
-
-
-def test_clamp_hub_setpoint():
-    hub = Hub("x", 500.0, 400.0)
-    assert clamp_hub_setpoint(hub, 120.0, -30.0) == (120.0, -30.0)
-    assert clamp_hub_setpoint(hub, 900.0, -700.0) == (500.0, -400.0)
-    assert clamp_hub_setpoint(hub, -501.0, 400.5) == (-500.0, 400.0)
+    assert feeder.network.base_load_kw.tolist() == [[0.0, 0.0], [150.0, 50.0]]
+    want = ref.solve_power_flow(feeder, ref.scale_loads(feeder, 1.0))
+    assert np.allclose(solve_power_flow(feeder, 1.0).v_pu, want.v_pu, rtol=0.0, atol=1e-12)

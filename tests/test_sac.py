@@ -11,6 +11,7 @@ from voltfleet.env import V2GEnv, EnvConfig
 from voltfleet.grid import load_feeder_file
 from voltfleet.resources import feeder_path
 from voltfleet.sac import Adam, ReplayBuffer, SacAgent, SacConfig, Tensor
+from voltfleet.sac.agent import frozen
 from voltfleet.sac.train import episode_return, train
 
 
@@ -146,6 +147,31 @@ def test_update_returns_finite_stats_and_moves_params():
     assert not np.array_equal(agent.q1.params()[0].data, q_before)
     assert agent.alpha != a_before
     assert agent.updates == 1
+
+
+def test_target_draw_records_no_tape_node():
+    agent = small_agent(seed=4)
+    draws = []
+    sample = agent.policy.sample
+    agent.policy.sample = lambda obs, eps: draws.append(sample(obs, eps)) or draws[-1]
+    agent.update(random_batch(np.random.default_rng(2)))
+    (next_a, next_logp), (pi_a, logp) = draws  # bootstrap target, then actor pass
+    for t in (next_a, next_logp):
+        assert not t.requires_grad and t._parents == () and t._backward is None
+    assert pi_a.requires_grad and logp.requires_grad
+    nets = agent.policy.params() + agent.q1.params() + agent.q2.params()
+    assert all(p.requires_grad for p in nets)
+
+
+def test_frozen_restores_each_flag_on_error():
+    w = Tensor(np.ones(2), requires_grad=True)
+    c = Tensor(np.ones(2))
+    with pytest.raises(RuntimeError):
+        with frozen([w, c]):
+            assert not w.requires_grad
+            assert not (w * 2.0).requires_grad
+            raise RuntimeError
+    assert w.requires_grad and not c.requires_grad
 
 
 def test_repeated_updates_fit_fixed_batch():
