@@ -52,12 +52,20 @@ def solve_power_flow(
     Every bus consumes `lam` times its base load (`Network.base_load_kw`).
     `hub_pq` is an (H, 2) array of injected (P_kw, Q_kvar), one row per
     bus index in `hub_index`, positive injecting into the grid (reduces
-    net demand at the bus). Non-convergence is reported via
-    `converged=False`; voltages are then the last iterate, never a stale
-    earlier state.
+    net demand at the bus). `hub_index` without `hub_pq` injects nothing.
+    Non-convergence is reported via `converged=False`; voltages are then
+    the last iterate, never a stale earlier state.
     """
     if lam < 0:
         raise ValueError("load multiplier must be >= 0")
+    if hub_pq is not None:
+        # pq[None] would broadcast the injection onto every bus
+        if hub_index is None:
+            raise ValueError("hub_pq needs the hub_index of its rows")
+        if len(hub_index) != len(hub_pq):
+            raise ValueError(
+                f"hub_index has {len(hub_index)} buses but hub_pq has {len(hub_pq)} rows"
+            )
     n = len(feeder.buses)
     net = feeder.network
     s_base_kw = feeder.base_mva * 1000.0

@@ -1,7 +1,7 @@
 from .agent import Adam, SacAgent, SacConfig
 from .nets import DenseNet, GaussianPolicy, QNetwork
 from .replay import ReplayBuffer
-from .tensor import Tensor, concat, minimum, tensor
+from .tensor import Tensor, concat, minimum
 from .train import TrainResult, episode_return, train
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "QNetwork",
     "ReplayBuffer",
     "Tensor",
-    "tensor",
     "concat",
     "minimum",
     "TrainResult",

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,10 @@ def frozen(params: list[Tensor]):
             p.requires_grad = flag
 
 
-@dataclass(frozen=True)
+DTYPES = ("float32", "float64")
+
+
+@dataclasses.dataclass(frozen=True)
 class SacConfig:
     gamma: float = 0.99
     tau: float = 5e-3
@@ -35,6 +38,12 @@ class SacConfig:
     alpha_init: float = 0.2
     target_entropy: float | None = None  # default: -act_dim
     replay_capacity: int = 1_000_000
+    # nets, Adam moments, log_alpha and replay storage; act() returns float64
+    dtype: str = "float32"
+
+    def __post_init__(self):
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {DTYPES}, not {self.dtype!r}")
 
 
 class Adam:
@@ -71,18 +80,21 @@ class SacAgent:
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.config = config or SacConfig()
+        self.dtype = dtype = np.dtype(self.config.dtype)
         ss = np.random.SeedSequence(seed)
         k_pol, k_q1, k_q2, k_noise, k_replay = ss.spawn(5)
 
-        self.policy = GaussianPolicy(obs_dim, act_dim, np.random.default_rng(k_pol))
-        self.q1 = QNetwork(obs_dim, act_dim, np.random.default_rng(k_q1))
-        self.q2 = QNetwork(obs_dim, act_dim, np.random.default_rng(k_q2))
+        self.policy = GaussianPolicy(obs_dim, act_dim, np.random.default_rng(k_pol), dtype)
+        self.q1 = QNetwork(obs_dim, act_dim, np.random.default_rng(k_q1), dtype)
+        self.q2 = QNetwork(obs_dim, act_dim, np.random.default_rng(k_q2), dtype)
         self.q1_target = copy.deepcopy(self.q1)
         self.q2_target = copy.deepcopy(self.q2)
         for p in self.q1_target.params() + self.q2_target.params():
             p.requires_grad = False
 
-        self.log_alpha = Tensor(np.log(self.config.alpha_init), requires_grad=True)
+        self.log_alpha = Tensor(
+            np.asarray(np.log(self.config.alpha_init), dtype=dtype), requires_grad=True
+        )
         self.target_entropy = (
             -float(act_dim)
             if self.config.target_entropy is None
@@ -97,7 +109,7 @@ class SacAgent:
         self._noise_rng = np.random.default_rng(k_noise)
         self.replay = ReplayBuffer(
             obs_dim, act_dim, self.config.replay_capacity,
-            rng=np.random.default_rng(k_replay),
+            rng=np.random.default_rng(k_replay), dtype=dtype,
         )
         self.updates = 0
 
@@ -112,6 +124,7 @@ class SacAgent:
         else:
             eps = self._noise_rng.standard_normal((obs2.shape[0], self.act_dim))
             a = self.policy.act_np(obs2, eps)
+        a = np.asarray(a, dtype=np.float64)
         return a[0] if np.ndim(obs) == 1 else a
 
     def _polyak(self) -> None:
@@ -125,8 +138,11 @@ class SacAgent:
                 pt.data += tau * p.data
 
     def update(self, batch: dict[str, np.ndarray]) -> dict[str, float]:
-        """One gradient step on critics, actor and temperature, then polyak."""
+        """One gradient step on critics, actor and temperature, then polyak.
+
+        The batch is cast to the agent's dtype first."""
         cfg = self.config
+        batch = {k: np.asarray(v, dtype=self.dtype) for k, v in batch.items()}
         obs = Tensor(batch["obs"])
         act = Tensor(batch["act"])
         n = obs.shape[0]
@@ -203,6 +219,7 @@ class SacAgent:
     def save(self, path) -> None:
         arrays = {k: t.data for k, t in self._param_map().items()}
         arrays["__meta"] = np.array([self.obs_dim, self.act_dim, self.updates])
+        arrays["__dtype"] = np.array(self.config.dtype)
         np.savez(self._npz(path), **arrays)
 
     @staticmethod
@@ -212,14 +229,28 @@ class SacAgent:
             raise ValueError(f"checkpoint {path}: '__meta' missing or not 3 values")
         return meta
 
+    @staticmethod
+    def _dtype(blob, path) -> str:
+        """The recorded dtype; checkpoints from before it was recorded are
+        float64."""
+        dtype = str(blob["__dtype"]) if "__dtype" in blob else "float64"
+        if dtype not in DTYPES:
+            raise ValueError(f"checkpoint {path}: dtype {dtype!r} is not one of {DTYPES}")
+        return dtype
+
     def load(self, path) -> None:
-        """Read a `save` checkpoint; every key and exact shape is checked
-        before any parameter changes."""
+        """Read a `save` checkpoint; the dtype, every key and exact shapes
+        and dtypes are checked before any parameter changes."""
         params = self._param_map()
         with np.load(self._npz(path)) as blob:
             meta = self._meta(blob, path)
             if int(meta[0]) != self.obs_dim or int(meta[1]) != self.act_dim:
                 raise ValueError("checkpoint dimensions do not match this agent")
+            dtype = self._dtype(blob, path)
+            if dtype != self.config.dtype:
+                raise ValueError(
+                    f"checkpoint {path} is {dtype}, this agent is {self.config.dtype}"
+                )
             loaded = {}
             for k, t in params.items():
                 if k not in blob:
@@ -230,15 +261,24 @@ class SacAgent:
                         f"checkpoint {path}: {k!r} has shape {data.shape}, "
                         f"this agent needs {t.data.shape}"
                     )
-                loaded[k] = data.astype(np.float64)
+                if data.dtype != t.data.dtype:
+                    raise ValueError(
+                        f"checkpoint {path}: {k!r} is {data.dtype}, "
+                        f"this agent needs {t.data.dtype}"
+                    )
+                loaded[k] = data
         for k, data in loaded.items():
             params[k].data = data
         self.updates = int(meta[2])
 
     @classmethod
     def restore(cls, path, seed: int = 0, config: SacConfig | None = None) -> "SacAgent":
+        """A new agent loaded from `path`, built in the checkpoint's dtype
+        whatever `config.dtype` says."""
         with np.load(cls._npz(path)) as blob:
             meta = cls._meta(blob, path)
+            dtype = cls._dtype(blob, path)
+        config = dataclasses.replace(config or SacConfig(), dtype=dtype)
         agent = cls(int(meta[0]), int(meta[1]), seed=seed, config=config)
         agent.load(path)
         return agent

@@ -15,19 +15,25 @@ HIDDEN = (256, 256)
 
 
 class DenseNet:
-    """Fully connected ReLU stack; the last layer is linear."""
+    """Fully connected ReLU stack; the last layer is linear.
 
-    def __init__(self, sizes: list[int], rng: np.random.Generator):
+    Parameters have `dtype`. Initial weights are drawn in float64 and then
+    cast, so a seed gives the same draws in either dtype.
+    """
+
+    def __init__(self, sizes: list[int], rng: np.random.Generator,
+                 dtype=np.float64):
         self.sizes = tuple(sizes)
+        self.dtype = np.dtype(dtype)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             last = i == len(sizes) - 2
             # small uniform head keeps initial outputs near zero
             lim = 3e-3 if last else np.sqrt(6.0 / (n_in + n_out))
-            w = rng.uniform(-lim, lim, size=(n_in, n_out))
+            w = rng.uniform(-lim, lim, size=(n_in, n_out)).astype(self.dtype)
             self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(n_out), requires_grad=True))
+            self.biases.append(Tensor(np.zeros(n_out, self.dtype), requires_grad=True))
 
     def params(self) -> list[Tensor]:
         out = []
@@ -68,7 +74,8 @@ class DenseNet:
         with + 0.0, as that tape's `Tensor._accumulate` did, then masks it
         in place. A -0.0 left by the mask can only flip the sign of a zero,
         and every gradient leaves the node through `_accumulate`, whose
-        + 0.0 turns -0.0 into +0.0.
+        + 0.0 turns -0.0 into +0.0. The gradients made here are fresh
+        arrays, so `_accumulate` keeps them without a copy.
         """
         saved: list[tuple[np.ndarray, np.ndarray | None]] = []
         out = self._layers(x.data, saved)
@@ -81,26 +88,27 @@ class DenseNet:
                     g *= mask
                 w, b = self.weights[i], self.biases[i]
                 if b.requires_grad:
-                    b._accumulate(g.sum(axis=0))
+                    b._accumulate(g.sum(axis=0), owned=True)
                 if w.requires_grad:
-                    w._accumulate(h.T @ g)
+                    w._accumulate(h.T @ g, owned=True)
                 if i > 0:
                     g = g @ w.data.T
                 elif x.requires_grad:
-                    x._accumulate(g @ w.data.T)
+                    x._accumulate(g @ w.data.T, owned=True)
 
         return Tensor._result(out, (x, *self.params()), backward)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free forward for inference."""
-        return self._layers(np.asarray(x, dtype=np.float64))
+        """Graph-free forward for inference; the input is cast to `dtype`."""
+        return self._layers(np.asarray(x, dtype=self.dtype))
 
 
 class QNetwork:
     """State-action value head: (obs, act) -> scalar per row."""
 
-    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator):
-        self.net = DenseNet([obs_dim + act_dim, *HIDDEN, 1], rng)
+    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator,
+                 dtype=np.float64):
+        self.net = DenseNet([obs_dim + act_dim, *HIDDEN, 1], rng, dtype)
 
     def params(self) -> list[Tensor]:
         return self.net.params()
@@ -115,9 +123,10 @@ class QNetwork:
 class GaussianPolicy:
     """tanh-squashed diagonal Gaussian; outputs live in (-1, 1)."""
 
-    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator):
+    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator,
+                 dtype=np.float64):
         self.act_dim = act_dim
-        self.net = DenseNet([obs_dim, *HIDDEN, 2 * act_dim], rng)
+        self.net = DenseNet([obs_dim, *HIDDEN, 2 * act_dim], rng, dtype)
 
     def params(self) -> list[Tensor]:
         return self.net.params()
@@ -131,13 +140,14 @@ class GaussianPolicy:
     def sample(self, obs: Tensor, eps: np.ndarray) -> tuple[Tensor, Tensor]:
         """Reparameterized draw.
 
-        eps is standard normal noise of shape (batch, act_dim); passing it
-        in keeps the graph deterministic, which the gradient checks need.
-        Returns (action, log_prob) with log_prob of shape (batch, 1).
+        eps is standard normal noise of shape (batch, act_dim), cast to the
+        net's dtype; passing it in keeps the graph deterministic, which the
+        gradient checks need. Returns (action, log_prob) with log_prob of
+        shape (batch, 1).
         """
         mean, log_std = self._head(obs)
         std = log_std.exp()
-        u = mean + std * Tensor(eps)
+        u = mean + std * Tensor(np.asarray(eps, dtype=self.net.dtype))
         action = u.tanh()
         # diagonal Gaussian density at u
         z = (u - mean) / std
@@ -150,10 +160,11 @@ class GaussianPolicy:
         return action, log_prob
 
     def act_np(self, obs: np.ndarray, eps: np.ndarray | None = None) -> np.ndarray:
-        """Graph-free action; eps=None gives the deterministic tanh(mean)."""
+        """Graph-free action in the net's dtype; eps=None gives the
+        deterministic tanh(mean)."""
         out = self.net.forward_np(np.atleast_2d(obs))
         mean = out[:, : self.act_dim]
         if eps is None:
             return np.tanh(mean)
         log_std = np.clip(out[:, self.act_dim :], LOG_STD_MIN, LOG_STD_MAX)
-        return np.tanh(mean + np.exp(log_std) * eps)
+        return np.tanh(mean + np.exp(log_std) * np.asarray(eps, dtype=self.net.dtype))

@@ -2,6 +2,7 @@
 
 Storage starts small and doubles as transitions arrive, up to the fixed
 capacity; past capacity the buffer wraps and overwrites the oldest rows.
+Rows are stored, and sampled, in the buffer's `dtype`.
 """
 
 from __future__ import annotations
@@ -18,17 +19,18 @@ class ReplayBuffer:
         act_dim: int,
         capacity: int = 1_000_000,
         rng: np.random.Generator | None = None,
+        dtype=np.float64,
     ):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._rng = rng or np.random.default_rng()
         room = min(_INITIAL_ROOM, capacity)
-        self._obs = np.zeros((room, obs_dim))
-        self._act = np.zeros((room, act_dim))
-        self._rew = np.zeros(room)
-        self._next_obs = np.zeros((room, obs_dim))
-        self._done = np.zeros(room)
+        self._obs = np.zeros((room, obs_dim), dtype)
+        self._act = np.zeros((room, act_dim), dtype)
+        self._rew = np.zeros(room, dtype)
+        self._next_obs = np.zeros((room, obs_dim), dtype)
+        self._done = np.zeros(room, dtype)
         self._size = 0
         self._cursor = 0
 
@@ -43,7 +45,7 @@ class ReplayBuffer:
         new_room = min(self.allocated * 2, self.capacity)
         for name in ("_obs", "_act", "_rew", "_next_obs", "_done"):
             old = getattr(self, name)
-            fresh = np.zeros((new_room, *old.shape[1:]))
+            fresh = np.zeros((new_room, *old.shape[1:]), old.dtype)
             fresh[: self._size] = old[: self._size]
             setattr(self, name, fresh)
 

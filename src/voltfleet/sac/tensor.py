@@ -1,8 +1,14 @@
-"""Small reverse-mode autodiff over numpy float64 arrays.
+"""Small reverse-mode autodiff over numpy float32 or float64 arrays.
+
+A `Tensor` keeps the dtype of a float32 or float64 input, numpy scalars
+included; any other input becomes float64. A constant operand of
+``+ - * /`` (a Python number or an array) takes the tensor's own dtype, so
+a float32 graph stays float32: under NumPy 2 promotion a 0-d float64 array
+would upcast it. Gradients have the dtype of their tensor.
 
 Just enough surface for dense nets and a tanh-Gaussian policy: elementwise
-arithmetic with broadcasting, matmul, a few nonlinearities, reductions,
-concat and basic indexing. Gradients accumulate into ``Tensor.grad`` when
+arithmetic with broadcasting, a few nonlinearities, reductions, concat and
+basic indexing. Gradients accumulate into ``Tensor.grad`` when
 ``backward()`` is called on a scalar. A dense ReLU stack
 (``nets.DenseNet.forward``) records one node for all its layers, built with
 ``Tensor._result``, instead of a matmul, a bias add and a ReLU per layer.
@@ -12,9 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
+    return a if a.dtype in _FLOATS else a.astype(np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -55,16 +64,23 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
+    def _constant(self, other) -> "Tensor":
+        """`other` as a tensor; a constant gets this tensor's dtype."""
+        if isinstance(other, Tensor):
+            return other
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add `g` into `grad`. With `owned`, `g` is a fresh array that no
+        one else reads, and a first gradient of this tensor's dtype is kept
+        without a copy."""
         if self.grad is None:
-            # one pass, same bits as zeros + g (a -0.0 entry becomes +0.0)
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            # same bits as zeros + g (a -0.0 entry becomes +0.0)
+            if owned and g.dtype == self.data.dtype:
+                g += 0.0
+                self.grad = g
+            else:
+                self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
 
@@ -92,7 +108,7 @@ class Tensor:
 
     # ---- elementwise arithmetic -------------------------------------
     def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._constant(other)
 
         def backward(g):
             if self.requires_grad:
@@ -102,8 +118,6 @@ class Tensor:
 
         return Tensor._result(self.data + other.data, (self, other), backward)
 
-    __radd__ = __add__
-
     def __neg__(self):
         def backward(g):
             if self.requires_grad:
@@ -112,14 +126,10 @@ class Tensor:
         return Tensor._result(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Tensor(other) + (-self)
+        return self + (-self._constant(other))
 
     def __mul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._constant(other)
 
         def backward(g):
             if self.requires_grad:
@@ -129,10 +139,8 @@ class Tensor:
 
         return Tensor._result(self.data * other.data, (self, other), backward)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._constant(other)
 
         def backward(g):
             if self.requires_grad:
@@ -143,20 +151,6 @@ class Tensor:
                 )
 
         return Tensor._result(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return Tensor(other) / self
-
-    def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g @ other.data.T)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ g)
-
-        return Tensor._result(self.data @ other.data, (self, other), backward)
 
     def __getitem__(self, key):
         def backward(g):
@@ -185,13 +179,6 @@ class Tensor:
                 self._accumulate(g * y)
 
         return Tensor._result(y, (self,), backward)
-
-    def log(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-
-        return Tensor._result(np.log(self.data), (self,), backward)
 
     def square(self):
         def backward(g):
@@ -243,10 +230,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:

@@ -15,6 +15,16 @@ import numpy as np
 from voltfleet.sac.tensor import Tensor
 
 
+def matmul(a: Tensor, w: Tensor) -> Tensor:
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(a.data.T @ g)
+
+    return Tensor._result(a.data @ w.data, (a, w), backward)
+
+
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
@@ -33,7 +43,7 @@ def forward(net, x: Tensor) -> Tensor:
     h = x
     n = len(net.weights)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
+        h = matmul(h, w) + b
         if i < n - 1:
             h = relu(h)
     return h

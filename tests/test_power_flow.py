@@ -295,6 +295,30 @@ def test_injection_raises_local_voltage():
     assert sagged.voltage_at("2") < base.voltage_at("2")
 
 
+@pytest.mark.parametrize(
+    "index, pq, match",
+    [
+        (None, [[300.0, 100.0]], "needs the hub_index"),
+        ([1], [[300.0, 100.0], [10.0, 0.0]], "1 buses but hub_pq has 2 rows"),
+        ([0, 1], [[300.0, 100.0]], "2 buses but hub_pq has 1 rows"),
+    ],
+)
+def test_injection_without_or_misaligned_index_rejected(index, pq, match):
+    # a lone injection row would otherwise be broadcast onto every bus
+    feeder = two_bus()
+    index = None if index is None else np.array(index)
+    pq = None if pq is None else np.array(pq)
+    with pytest.raises(ValueError, match=match):
+        solve_power_flow(feeder, 1.0, index, pq)
+
+
+def test_hub_index_without_injection_injects_nothing():
+    feeder = two_bus()
+    hub = np.array([feeder.bus_index("2")])
+    alone = solve_power_flow(feeder, 1.0, hub)
+    assert np.array_equal(alone.v_pu, solve_power_flow(feeder, 1.0).v_pu)
+
+
 def test_nonconvergence_is_flagged_not_raised():
     # load far beyond the maximum power transfer of the line
     feeder = two_bus(p_kw=60000.0, q_kvar=30000.0)

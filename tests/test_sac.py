@@ -72,6 +72,18 @@ def test_replay_sampling_uniform_and_seeded():
     assert np.array_equal(b1.sample(6)["obs"], b2.sample(6)["obs"])
 
 
+def test_replay_stores_in_its_dtype(monkeypatch):
+    monkeypatch.setattr(replay_mod, "_INITIAL_ROOM", 2)
+    buf = ReplayBuffer(2, 1, capacity=8, rng=np.random.default_rng(0), dtype=np.float32)
+    for k in range(5):
+        buf.add([k + 0.1, k], [0.5], 1.0 / 3.0, [0.0, k], k == 4)
+    assert buf.allocated == 8
+    batch = buf.sample(4)
+    assert all(v.dtype == np.float32 for v in batch.values())
+    assert buf._obs[4, 0] == np.float32(4.1)
+    assert ReplayBuffer(1, 1)._obs.dtype == np.float64  # the default
+
+
 def test_replay_empty_sample_rejected():
     with pytest.raises(ValueError, match="empty"):
         ReplayBuffer(1, 1, capacity=4).sample(1)
@@ -114,6 +126,39 @@ def test_actions_bounded_and_deterministic_repeatable():
     samples = np.array([agent.act(obs) for _ in range(50)])
     assert np.all(np.abs(samples) < 1.0)
     assert samples.std(axis=0).min() > 0  # stochastic head actually explores
+
+
+def test_config_accepts_only_two_dtypes():
+    assert SacConfig().dtype == "float32"
+    assert SacConfig(dtype="float64").dtype == "float64"
+    for bad in ("float16", "f4", np.float32, "int32"):
+        with pytest.raises(ValueError, match="dtype"):
+            SacConfig(dtype=bad)
+
+
+def test_dtypes_share_the_seeded_draws():
+    """The float32 agent starts from the float64 agent's draws, cast."""
+    a32 = small_agent(seed=3)
+    a64 = small_agent(seed=3, dtype="float64")
+    for k, t in a64._param_map().items():
+        got = a32._param_map()[k].data
+        assert got.dtype == np.float32
+        assert np.array_equal(got, t.data.astype(np.float32)), k
+    for opt in (a32.critic_opt, a32.actor_opt, a32.alpha_opt):
+        assert all(m.dtype == v.dtype == np.float32 for m, v in zip(opt.m, opt.v))
+    assert a32.replay._obs.dtype == np.float32
+    obs = np.linspace(-1, 1, 5)
+    a = a32.act(obs)
+    assert a.dtype == np.float64
+    # same noise draw: the two dtypes act alike to float32 precision
+    assert np.allclose(a, a64.act(obs), rtol=0, atol=1e-5)
+
+
+def test_float32_update_tracks_float64():
+    batch = random_batch(np.random.default_rng(4))
+    stats = [small_agent(seed=2, dtype=d).update(batch) for d in ("float32", "float64")]
+    for k, v in stats[1].items():
+        assert stats[0][k] == pytest.approx(v, rel=1e-4, abs=1e-6), k
 
 
 def test_same_seed_same_agent():
@@ -203,6 +248,56 @@ def test_checkpoint_round_trip(tmp_path):
     wrong = SacAgent(obs_dim=3, act_dim=2, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         wrong.load(path)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_records_dtype_and_restores_in_it(tmp_path, dtype):
+    agent = small_agent(seed=4, dtype=dtype)
+    agent.update(random_batch(np.random.default_rng(2)))
+    path = tmp_path / "ckpt.npz"
+    agent.save(path)
+    with np.load(path) as blob:
+        assert str(blob["__dtype"]) == dtype
+    # the checkpoint's dtype wins over the config's
+    other = "float64" if dtype == "float32" else "float32"
+    restored = SacAgent.restore(path, config=SacConfig(batch_size=32, dtype=other))
+    assert restored.config.dtype == dtype
+    assert param_bytes(restored) == param_bytes(agent)
+    assert all(p.data.dtype == dtype for p in restored._param_map().values())
+
+
+@pytest.mark.parametrize("saved, loading", [("float32", "float64"), ("float64", "float32")])
+def test_load_rejects_other_dtype(tmp_path, saved, loading):
+    path = tmp_path / "ckpt.npz"
+    small_agent(seed=4, dtype=saved).save(path)
+    other = small_agent(seed=5, dtype=loading)
+    before = param_bytes(other)
+    with pytest.raises(ValueError, match=f"is {saved}, this agent is {loading}"):
+        other.load(path)
+    assert param_bytes(other) == before
+
+
+def test_load_rejects_array_of_other_dtype(tmp_path):
+    agent = small_agent(seed=4, dtype="float64")
+    path = tmp_path / "ckpt.npz"
+    agent.save(path)
+    rewrite_checkpoint(path, lambda a: a.update({"q1.2": a["q1.2"].astype(np.float32)}))
+    other = small_agent(seed=5, dtype="float64")
+    before = param_bytes(other)
+    with pytest.raises(ValueError, match=r"'q1\.2' is float32, this agent needs float64"):
+        other.load(path)
+    assert param_bytes(other) == before
+
+
+def test_checkpoint_without_dtype_is_float64(tmp_path):
+    """Checkpoints written before the dtype was recorded were float64."""
+    agent = small_agent(seed=4, dtype="float64")
+    path = tmp_path / "ckpt.npz"
+    agent.save(path)
+    rewrite_checkpoint(path, lambda a: a.pop("__dtype"))
+    assert SacAgent.restore(path).config.dtype == "float64"
+    with pytest.raises(ValueError, match="is float64, this agent is float32"):
+        small_agent(seed=5).load(path)
 
 
 def rewrite_checkpoint(path, edit):

@@ -116,10 +116,11 @@ def agent_bytes(agent) -> bytes:
     return b"".join(parts)
 
 
-def test_critic_then_actor_gradients_match_reference(monkeypatch):
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_critic_then_actor_gradients_match_reference(monkeypatch, dtype):
     """One update: the critic pass (trainable critics, leaf inputs), then
     the actor pass (frozen critics, an input that needs a gradient)."""
-    cfg = SacConfig(batch_size=32)
+    cfg = SacConfig(batch_size=32, dtype=dtype)
     batch = small_batch(np.random.default_rng(11), 32, 5, 2)
     seen = {}
     for name in ("reference", "fused"):
@@ -136,14 +137,16 @@ def test_critic_then_actor_gradients_match_reference(monkeypatch):
         assert len(step) == len(ref_step)
         for g, rg in zip(step, ref_step):
             assert g is not None
+            assert g.dtype == dtype
             assert same_bits(g, rg)
     assert stats == ref_stats
     assert got_bytes == ref_bytes
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("seed", [0, 3])
-def test_seeded_updates_match_reference_bytes(monkeypatch, seed):
-    cfg = SacConfig(batch_size=32)
+def test_seeded_updates_match_reference_bytes(monkeypatch, seed, dtype):
+    cfg = SacConfig(batch_size=32, dtype=dtype)
     agents = {}
     for name in ("reference", "fused"):
         with monkeypatch.context() as mp:
@@ -155,3 +158,36 @@ def test_seeded_updates_match_reference_bytes(monkeypatch, seed):
                 agent.update(small_batch(rng, 32, 6, 3))
         agents[name] = agent_bytes(agent)
     assert agents["fused"] == agents["reference"]
+
+
+def test_float32_agent_makes_no_float64_array(monkeypatch):
+    """Updates on a replay batch and on a float64 batch, and acts, of a
+    float32 agent: every tensor and every gradient handed on is float32,
+    bar one-element values; act still returns float64."""
+    leaks = []
+    init, accumulate = Tensor.__init__, Tensor._accumulate
+
+    def watched_init(self, data, requires_grad=False):
+        init(self, data, requires_grad)
+        if self.data.dtype == np.float64 and self.data.size > 1:
+            leaks.append(("tensor", self.data.shape))
+
+    def watched_accumulate(self, g, owned=False):
+        if g.dtype == np.float64 and g.size > 1:
+            leaks.append(("gradient", g.shape))
+        accumulate(self, g, owned)
+
+    agent = SacAgent(5, 2, seed=1, config=SacConfig(batch_size=32))
+    rng = np.random.default_rng(8)
+    for _ in range(64):
+        agent.replay.add(rng.standard_normal(5), rng.uniform(-1, 1, 2),
+                         float(rng.standard_normal()), rng.standard_normal(5), False)
+    monkeypatch.setattr(Tensor, "__init__", watched_init)
+    monkeypatch.setattr(Tensor, "_accumulate", watched_accumulate)
+    agent.update(agent.replay.sample(32))
+    agent.update(small_batch(rng, 32, 5, 2))
+    actions = [agent.act(rng.standard_normal(5)),
+               agent.act(rng.standard_normal((3, 5)), deterministic=True)]
+    assert leaks == []
+    assert all(a.dtype == np.float64 for a in actions)
+    assert all(p.data.dtype == np.float32 for p in agent._param_map().values())
