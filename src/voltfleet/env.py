@@ -10,19 +10,20 @@ follows the profile, so an observation can come from a non-converged
 solve; `info["obs_converged"]` flags the one each action was taken on.
 
 Hub quantities travel as arrays in `hubs` order, from the action through
-the fleet to the solve: (H, 2) kW/kvar setpoints and (H,) rho, with the
-bus indices (`hub_index`) and ratings built once per env. Only the step's
-`info["delivered"]` and `info["rho"]` map bus ids to them, for the records.
+the fleet to the solve: one fleet per hub, (H, 2) kW/kvar setpoints and
+(H,) rho (`info["rho"]`), with the bus indices (`hub_index`) and ratings
+built once per env. Only the step's `info["delivered"]` maps bus ids to
+the delivered (P, Q), for the records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
-from .fleet import DegradationParams, FleetState, allocate
+from .fleet import FleetState, allocate
 from .grid import Feeder, Hub, solve_power_flow
 from .scenario import Scenario
 
@@ -125,8 +126,7 @@ class V2GEnv:
     def __init__(
         self,
         config: EnvConfig,
-        fleets: Mapping[str, FleetState] | None = None,
-        degradation: DegradationParams | None = None,
+        fleets: Sequence[FleetState] | None = None,
         seed: int | None = None,
     ):
         self.config = config
@@ -135,12 +135,13 @@ class V2GEnv:
         # per-hub arrays, in hub order: bus index and (p_max_kw, q_max_kvar)
         self.hub_index = np.array([config.feeder.bus_index(b) for b in config.hub_buses])
         self.ratings = np.array([(h.p_max_kw, h.q_max_kvar) for h in self.hubs])
-        self.fleets = dict(fleets) if fleets else {}
-        if config.phase == 2:
-            missing = [b for b in config.hub_buses if b not in self.fleets]
-            if missing:
-                raise ValueError(f"phase 2 needs a fleet per hub, missing: {missing}")
-        self.degradation = degradation or DegradationParams()
+        # one fleet per hub, in hub order
+        self.fleets: tuple[FleetState, ...] = tuple(fleets or ())
+        if config.phase == 2 and len(self.fleets) != len(self.hubs):
+            raise ValueError(
+                f"phase 2 needs one fleet per hub: {len(self.hubs)} hubs, "
+                f"{len(self.fleets)} fleets"
+            )
         self._rng = np.random.default_rng(seed)
         # diagnostics, cumulative over the env lifetime
         self.clamp_events = 0
@@ -227,9 +228,8 @@ class V2GEnv:
         delivered = action_to_setpoints(a, self.ratings, active)
         rho = np.ones(len(self.hubs))
         if self.config.phase == 2:
-            for i, (bus, (p, q)) in enumerate(zip(self.config.hub_buses, delivered.tolist())):
-                res = allocate(p, q, self.fleets[bus], self._hour, dt_h=1.0,
-                               deg=self.degradation)
+            for i, (fleet, (p, q)) in enumerate(zip(self.fleets, delivered.tolist())):
+                res = allocate(p, q, fleet, self._hour)
                 delivered[i] = res.p_sup_kw, res.q_sup_kvar
                 rho[i] = res.rho
 
@@ -240,18 +240,13 @@ class V2GEnv:
             r = self.config.nonconvergence_penalty
             self.nonconverged_steps += 1
 
-        under = np.clip(V_LOW_PU - sol.v_pu, 0.0, None)
-        over = np.clip(sol.v_pu - V_HIGH_PU, 0.0, None)
         info = {
             "lambda": self._lam,
             "hour": self._hour,
             "converged": sol.converged,
             "obs_converged": self._sol.converged,
-            "violations": int(np.sum((under > 0) | (over > 0))) if sol.converged else None,
-            "v_min": float(sol.v_pu.min()) if sol.converged else None,
-            "v_max": float(sol.v_pu.max()) if sol.converged else None,
             "delivered": dict(zip(self.config.hub_buses, map(tuple, delivered.tolist()))),
-            "rho": dict(zip(self.config.hub_buses, rho.tolist())),
+            "rho": rho,
             "clamped": n_clamped,
             "solution": sol,
         }

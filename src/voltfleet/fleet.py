@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DegradationParams:
-    cycle_coeff: float = 5e-6   # SOH loss per unit normalized throughput
-    calendar_coeff: float = 1e-7  # SOH loss per hour
+def check_aging(cycle_coeff: float, calendar_coeff: float) -> None:
+    """Raise ValueError unless both aging coefficients are finite and >= 0."""
+    for name, value in (("cycle_coeff", cycle_coeff), ("calendar_coeff", calendar_coeff)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -33,6 +34,8 @@ class FleetState:
 
     `order` is a seed-fixed permutation; availability marks the first
     floor(fraction * N) EVs of that order, so runs are reproducible.
+    `cycle_coeff` is the SOH lost per unit of normalized throughput and
+    `calendar_coeff` the SOH lost per hour.
     """
 
     soc: np.ndarray
@@ -40,6 +43,8 @@ class FleetState:
     capacity_kwh: float = 75.0
     c_rate: float = 0.5
     eta_inv: float = 0.96
+    cycle_coeff: float = 5e-6
+    calendar_coeff: float = 1e-7
     availability_schedule: tuple[float, ...] = (1.0,) * 24
     order: np.ndarray | None = None
     available: np.ndarray = field(init=False)
@@ -60,6 +65,7 @@ class FleetState:
             raise ValueError("c_rate must be positive")
         if not 0 < self.eta_inv <= 1:
             raise ValueError("eta_inv must be in (0, 1]")
+        check_aging(self.cycle_coeff, self.calendar_coeff)
         if not self.availability_schedule:
             raise ValueError("availability schedule needs at least one fraction")
         for f in self.availability_schedule:
@@ -111,18 +117,14 @@ def allocate(
     q_req_kvar: float,
     fleet: FleetState,
     hour: int,
-    dt_h: float = 1.0,
-    deg: DegradationParams | None = None,
 ) -> AllocationResult:
-    """Scale a grid-side request to fleet capability and age the fleet.
+    """Scale a grid-side request to fleet capability and age the fleet
+    by one hour at its own coefficients.
 
     Every EV is stepped each call: participating EVs carry their
     proportional share of the battery draw, the rest idle (calendar
     aging only). Infeasible requests are scaled by rho, never rejected.
     """
-    if dt_h <= 0:
-        raise ValueError("dt_h must be positive")
-    deg = deg or DegradationParams()
     s_req = math.hypot(p_req_kw, q_req_kvar)
     p_fleet = s_req / fleet.eta_inv
     discharge = p_req_kw >= 0  # zero-P reactive service still drains via s_req
@@ -139,9 +141,9 @@ def allocate(
         raise ValueError("allocation exceeded an EV's battery power capability")
     p_bat = -share if discharge else share
     usable = fleet.capacity_kwh * fleet.soh
-    fleet.soc = np.clip(fleet.soc + p_bat * dt_h / usable, 0.0, 1.0)
-    soh = fleet.soh - deg.cycle_coeff * np.abs(p_bat) * dt_h / fleet.capacity_kwh
-    soh -= deg.calendar_coeff * dt_h
+    fleet.soc = np.clip(fleet.soc + p_bat / usable, 0.0, 1.0)
+    soh = fleet.soh - fleet.cycle_coeff * np.abs(p_bat) / fleet.capacity_kwh
+    soh -= fleet.calendar_coeff
     fleet.soh = np.maximum(soh, 1e-9)
 
     return AllocationResult(

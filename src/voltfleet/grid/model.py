@@ -9,7 +9,7 @@ first solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,21 +66,21 @@ class Feeder:
             raise KeyError(f"unknown bus {bus_id!r}") from None
 
     @cached_property
+    def _index(self) -> dict[str, int]:
+        return {b: i for i, b in enumerate(self.bus_ids)}
+
+    @cached_property
     def bus_ids(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.buses)
 
-    @property
+    @cached_property
     def slack_index(self) -> int:
-        return self._slack
+        return next(i for i, b in enumerate(self.buses) if b.is_slack)
 
     @cached_property
     def network(self) -> Network:
         """Per-unit matrices of the feeder, compiled on first use."""
         return compile_network(self)
-
-    # populated by build_feeder via object.__setattr__ (frozen dataclass)
-    _index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
-    _slack: int = field(default=-1, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -225,13 +225,10 @@ def build_feeder(
     if base_mva <= 0:
         raise ValueError("base_mva must be positive")
 
-    feeder = Feeder(
+    return Feeder(
         buses=tuple(buses),
         lines=tuple(lines),
         loads=tuple(loads),
         hubs=tuple(hubs),
         base_mva=float(base_mva),
     )
-    object.__setattr__(feeder, "_index", index)
-    object.__setattr__(feeder, "_slack", slack[0])
-    return feeder

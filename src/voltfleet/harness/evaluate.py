@@ -9,7 +9,7 @@ import numpy as np
 
 from ..droop import droop_control
 from ..env import V2GEnv, config_from_scenario
-from ..fleet import DegradationParams, available_count
+from ..fleet import available_count
 from ..grid import solve_power_flow
 from ..scenario import Scenario, build_fleets
 from .metrics import DayMetrics, compute_metrics
@@ -83,11 +83,11 @@ def _fleet_snapshot(env: V2GEnv, hour: int) -> tuple[float | None, int]:
     if not env.fleets:
         return None, 0
     socs, count = [], 0
-    for fleet in env.fleets.values():
+    for fleet in env.fleets:
         if fleet.soc.size:
             socs.append(float(np.mean(fleet.soc)) * fleet.soc.size)
         count += available_count(fleet, hour)
-    total_evs = sum(f.soc.size for f in env.fleets.values())
+    total_evs = sum(f.soc.size for f in env.fleets)
     return (sum(socs) / total_evs if total_evs else None), count
 
 
@@ -128,11 +128,7 @@ def evaluate(
         fleets = build_fleets(scenario, fleet_seq)
 
     cfg = config_from_scenario(scenario, mode="eval", phase=phase)
-    deg = DegradationParams(
-        cycle_coeff=scenario.fleet.cycle_coeff,
-        calendar_coeff=scenario.fleet.calendar_coeff,
-    )
-    env = V2GEnv(cfg, fleets=fleets, degradation=deg, seed=run_seed)
+    env = V2GEnv(cfg, fleets=fleets, seed=run_seed)
 
     act: Callable[[np.ndarray], np.ndarray]
     if controller == "none":
@@ -164,7 +160,7 @@ def evaluate(
                 reward=res.reward,
                 hub_p_kw={b: pq[0] for b, pq in info["delivered"].items()},
                 hub_q_kvar={b: pq[1] for b, pq in info["delivered"].items()},
-                hub_rho=dict(info["rho"]),
+                hub_rho=dict(zip(scenario.hub_buses, info["rho"].tolist())),
                 soc_mean=soc,
                 ev_count=n_ev,
             )

@@ -72,10 +72,10 @@ class DenseNet:
         Its gradients have the bits of the op-by-op tape (matmul, bias
         add, ReLU per layer). The backward copies the incoming gradient
         with + 0.0, as that tape's `Tensor._accumulate` did, then masks it
-        in place. A -0.0 left by the mask can only flip the sign of a zero,
-        and every gradient leaves the node through `_accumulate`, whose
-        + 0.0 turns -0.0 into +0.0. The gradients made here are fresh
-        arrays, so `_accumulate` keeps them without a copy.
+        in place. A -0.0 left by the mask never reaches a gradient: every
+        gradient made here is a sum or a matmul over the masked array, and
+        numpy and BLAS start those from +0.0 (+0.0 + -0.0 is +0.0). They are
+        fresh arrays, so `_accumulate` keeps them without a copy.
         """
         saved: list[tuple[np.ndarray, np.ndarray | None]] = []
         out = self._layers(x.data, saved)

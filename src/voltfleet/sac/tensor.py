@@ -73,13 +73,13 @@ class Tensor:
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add `g` into `grad`. With `owned`, `g` is a fresh array that no
         one else reads, and a first gradient of this tensor's dtype is kept
-        without a copy."""
+        as it is: such arrays come from numpy sums and matmuls, which start
+        from +0.0 and so hold no -0.0."""
         if self.grad is None:
-            # same bits as zeros + g (a -0.0 entry becomes +0.0)
             if owned and g.dtype == self.data.dtype:
-                g += 0.0
                 self.grad = g
             else:
+                # same bits as zeros + g (a -0.0 entry becomes +0.0)
                 self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g

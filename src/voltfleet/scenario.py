@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .droop import DroopCurve
-from .fleet import FleetState
+from .fleet import FleetState, check_aging
 from .grid import Feeder, load_feeder_file
 from .profiles import load_profile
 from .resources import feeder_path, scenario_path
@@ -40,6 +40,7 @@ class FleetSpec:
             raise ValueError("soh_init must lie in (0, 1]")
         if not 0.0 < self.eta_inv <= 1.0:
             raise ValueError("eta_inv must lie in (0, 1]")
+        check_aging(self.cycle_coeff, self.calendar_coeff)
         lo, hi = self.soc_init
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("soc_init bounds must satisfy 0 <= lo <= hi <= 1")
@@ -177,14 +178,14 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
 
 def build_fleets(
     scenario: Scenario, seed_seq: np.random.SeedSequence | int | None = None
-) -> dict[str, FleetState]:
-    """One independent fleet per active hub.
+) -> tuple[FleetState, ...]:
+    """One independent fleet per active hub, in ``hub_buses`` order.
 
     ``ev_count`` is the scenario total, split evenly over hubs with the
     remainder going to the hubs listed first.  Initial SOC is uniform over
     the configured range; the participation order is a fixed permutation
     drawn once per hub, so availability fractions select a reproducible
-    subset each day.
+    subset each day. Each fleet ages at the scenario's coefficients.
     """
     spec = scenario.fleet
     if seed_seq is None:
@@ -193,18 +194,20 @@ def build_fleets(
         seed_seq = np.random.SeedSequence(seed_seq)
     n_hubs = len(scenario.hub_buses)
     base, extra = divmod(spec.ev_count, n_hubs)
-    fleets: dict[str, FleetState] = {}
-    for i, (bus, child) in enumerate(zip(scenario.hub_buses, seed_seq.spawn(n_hubs))):
+    fleets = []
+    for i, child in enumerate(seed_seq.spawn(n_hubs)):
         rng = np.random.default_rng(child)
         count = base + (1 if i < extra else 0)
         socs = rng.uniform(spec.soc_init[0], spec.soc_init[1], size=count)
-        fleets[bus] = FleetState(
+        fleets.append(FleetState(
             soc=socs,
             soh=np.full(count, spec.soh_init),
             capacity_kwh=spec.capacity_kwh,
             c_rate=spec.c_rate,
             eta_inv=spec.eta_inv,
+            cycle_coeff=spec.cycle_coeff,
+            calendar_coeff=spec.calendar_coeff,
             availability_schedule=spec.availability,
             order=rng.permutation(count),
-        )
-    return fleets
+        ))
+    return tuple(fleets)

@@ -3,8 +3,9 @@
 This is the fleet as a list of frozen per-EV records, each rebuilt with
 `dataclasses.replace()` on every step. The production model holds the
 same state as arrays; the property tests in `test_fleet.py` run both on
-the same inputs and compare. Kept deliberately simple and per-EV: it
-shares only `DegradationParams` and `AllocationResult` with the package.
+the same inputs and compare. Kept deliberately simple and per-EV, with
+its own time step `dt_h`: it shares only `AllocationResult` with the
+package.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from voltfleet.fleet import AllocationResult, DegradationParams
+from voltfleet.fleet import AllocationResult
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,14 @@ class FleetState:
 
     `order` is a seed-fixed permutation; availability marks the first
     floor(fraction * N) units of that order, so runs are reproducible.
+    Every unit ages at the fleet's `cycle_coeff` (SOH per unit normalized
+    throughput) and `calendar_coeff` (SOH per hour).
     """
 
     evs: list[EvUnit]
     eta_inv: float = 0.96
+    cycle_coeff: float = 5e-6
+    calendar_coeff: float = 1e-7
     availability_schedule: tuple[float, ...] = (1.0,) * 24
     order: tuple[int, ...] = ()
 
@@ -66,7 +71,7 @@ def battery_power_capability(ev: EvUnit, discharge: bool = True) -> float:
 
 
 def step_battery(
-    ev: EvUnit, p_bat_kw: float, dt_h: float, deg: DegradationParams
+    ev: EvUnit, p_bat_kw: float, dt_h: float, cycle_coeff: float, calendar_coeff: float
 ) -> EvUnit:
     """Advance one EV by dt_h at signed battery power (positive charges)."""
     if dt_h <= 0:
@@ -78,8 +83,8 @@ def step_battery(
         )
     usable = ev.capacity_kwh * ev.soh
     soc = min(max(ev.soc + p_bat_kw * dt_h / usable, 0.0), 1.0)
-    soh = ev.soh - deg.cycle_coeff * abs(p_bat_kw) * dt_h / ev.capacity_kwh
-    soh -= deg.calendar_coeff * dt_h
+    soh = ev.soh - cycle_coeff * abs(p_bat_kw) * dt_h / ev.capacity_kwh
+    soh -= calendar_coeff * dt_h
     return replace(ev, soc=soc, soh=max(soh, 1e-9))
 
 
@@ -105,7 +110,6 @@ def allocate(
     fleet: FleetState,
     hour: int,
     dt_h: float = 1.0,
-    deg: DegradationParams | None = None,
 ) -> AllocationResult:
     """Scale a grid-side request to fleet capability and age the fleet.
 
@@ -113,7 +117,6 @@ def allocate(
     proportional share of the battery draw, the rest idle (calendar
     aging only). Infeasible requests are scaled by rho, never rejected.
     """
-    deg = deg or DegradationParams()
     s_req = math.hypot(p_req_kw, q_req_kvar)
     p_fleet = s_req / fleet.eta_inv
     discharge = p_req_kw >= 0  # zero-P reactive service still drains via s_req
@@ -131,7 +134,9 @@ def allocate(
     for i, ev in enumerate(fleet.evs):
         share = drawn * caps[i] / total_cap if total_cap > 0 else 0.0
         p_bat = -share if discharge else share
-        fleet.evs[i] = step_battery(ev, p_bat, dt_h, deg)
+        fleet.evs[i] = step_battery(
+            ev, p_bat, dt_h, fleet.cycle_coeff, fleet.calendar_coeff
+        )
 
     return AllocationResult(
         p_sup_kw=rho * p_req_kw,

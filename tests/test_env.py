@@ -104,6 +104,17 @@ def test_phase2_requires_fleets(two_bus):
         V2GEnv(eval_config(two_bus, phase=2))
 
 
+@pytest.mark.parametrize("n_fleets", [4, 6])
+def test_phase2_needs_one_fleet_per_hub(n_fleets):
+    sc = load_scenario("multi_hub_mild")
+    fleets = build_fleets(sc, 0)
+    assert len(fleets) == 5
+    cfg = config_from_scenario(sc, mode="eval", phase=2)
+    wrong = (fleets * 2)[:n_fleets]
+    with pytest.raises(ValueError, match=f"5 hubs, {n_fleets} fleets"):
+        V2GEnv(cfg, fleets=wrong)
+
+
 @pytest.mark.parametrize("name", ["current_lambda", "current_hour", "current_solution"])
 def test_state_before_reset_is_an_error(two_bus, name):
     env = V2GEnv(eval_config(two_bus))
@@ -291,10 +302,10 @@ def test_phase2_scales_delivery_when_fleet_is_small(five_bus):
     cfg = train_config(
         five_bus, lam_range=(1.0, 1.0), lambda_mode="per_episode", phase=2
     )
-    env = V2GEnv(cfg, fleets={"5": tiny}, seed=0)
+    env = V2GEnv(cfg, fleets=[tiny], seed=0)
     env.reset()
     res = env.step(np.array([1.0, 0.0]))  # asks for 500 kW from a 10 kW fleet
-    rho = res.info["rho"]["5"]
+    rho = res.info["rho"][0]
     assert rho == pytest.approx(10.0 * 0.96 / 500.0, rel=1e-9)
     p, q = res.info["delivered"]["5"]
     assert p == pytest.approx(500.0 * rho, rel=1e-9)

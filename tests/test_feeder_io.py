@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from voltfleet.grid import (
@@ -122,6 +124,25 @@ def test_duplicate_hub_rejected():
             loads=[],
             hubs=[Hub("b", 100.0, 100.0), Hub("b", 100.0, 100.0)],
         )
+
+
+def test_bus_and_slack_index_follow_the_buses():
+    feeder = build_feeder(
+        buses=[Bus("b", 1.0), Bus("a", 1.0, is_slack=True), Bus("c", 1.0)],
+        lines=[Line("a", "b", 0.1, 0.1), Line("a", "c", 0.2, 0.2)],
+        loads=[],
+        hubs=[],
+    )
+    assert [feeder.bus_index(b) for b in ("b", "a", "c")] == [0, 1, 2]
+    assert feeder.slack_index == 1
+    with pytest.raises(KeyError, match="unknown bus 'zz'"):
+        feeder.bus_index("zz")
+    # derived from the buses, so a copy with other buses is not stale
+    moved = dataclasses.replace(feeder, buses=feeder.buses[::-1])
+    assert [moved.bus_index(b) for b in ("c", "a", "b")] == [0, 1, 2]
+    assert moved.slack_index == 1 and feeder.slack_index == 1
+    moved = dataclasses.replace(feeder, buses=feeder.buses[1:] + feeder.buses[:1])
+    assert moved.slack_index == 0 and moved.bus_index("b") == 2
 
 
 def test_shipped_feeders_load():

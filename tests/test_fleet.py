@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 import fleet_reference as ref
 from voltfleet.fleet import (
     AllocationResult,
-    DegradationParams,
     FleetState,
     allocate,
     capability,
     mark_availability,
 )
-
-DEG = DegradationParams()
 
 
 def make_fleet(
@@ -59,26 +56,21 @@ def test_capability_taper_at_rails():
 
 def test_step_idle_calendar_aging_only():
     fleet = make_fleet(1)
-    allocate(0.0, 0.0, fleet, hour=0, deg=DEG)
+    allocate(0.0, 0.0, fleet, hour=0)
     assert fleet.soc[0] == 0.5
-    assert fleet.soh[0] == pytest.approx(0.95 - DEG.calendar_coeff, abs=1e-15)
+    assert fleet.soh[0] == pytest.approx(0.95 - fleet.calendar_coeff, abs=1e-15)
 
 
 def test_step_full_charge_hits_one():
     fleet = make_fleet(1, soc=0.5, soh=1.0, capacity=75.0, eta=1.0)
-    allocate(-37.5, 0.0, fleet, hour=0, deg=DEG)
+    allocate(-37.5, 0.0, fleet, hour=0)
     assert fleet.soc[0] == 1.0  # 37.5 kWh into 75 kWh from half full
 
 
 def test_step_full_discharge_hits_zero():
     fleet = make_fleet(1, soc=0.5, soh=1.0, capacity=75.0, eta=1.0)
-    allocate(37.5, 0.0, fleet, hour=0, deg=DEG)
+    allocate(37.5, 0.0, fleet, hour=0)
     assert fleet.soc[0] == 0.0
-
-
-def test_allocate_rejects_nonpositive_step():
-    with pytest.raises(ValueError, match="dt_h"):
-        allocate(10.0, 0.0, make_fleet(1), hour=0, dt_h=0.0)
 
 
 def test_available_power_sums_capabilities():
@@ -129,7 +121,7 @@ def test_allocate_zero_request_is_identity():
     assert res == AllocationResult(0.0, 0.0, 1.0, 0.0)
     for soc, soh, before in zip(fleet.soc, fleet.soh, soc_before):
         assert soc == before
-        assert soh == pytest.approx(0.95 - DEG.calendar_coeff, abs=1e-15)
+        assert soh == pytest.approx(0.95 - fleet.calendar_coeff, abs=1e-15)
 
 
 def test_allocate_preserves_power_factor():
@@ -196,6 +188,11 @@ def test_draw_never_exceeds_available_power():
         (dict(soc=[0.5], soh=[1.0], eta_inv=0.0), "eta_inv"),
         (dict(soc=[0.5], soh=[1.0], availability_schedule=(1.5,)), "availability"),
         (dict(soc=[0.5], soh=[1.0], availability_schedule=()), "availability"),
+        *(
+            (dict(soc=[0.5], soh=[1.0], **{key: bad}), key)
+            for key in ("cycle_coeff", "calendar_coeff")
+            for bad in (math.nan, math.inf, -math.inf, -1e-6)
+        ),
     ],
 )
 def test_fleet_state_rejects_bad_inputs(kwargs, fragment):
@@ -210,7 +207,8 @@ fractions = st.floats(0.0, 1.0)
 
 @st.composite
 def fleets(draw):
-    """(array fleet, per-EV reference fleet) holding the same state."""
+    """(array fleet, per-EV reference fleet) holding the same state and
+    aging coefficients."""
     n = draw(st.integers(0, 12))
     soc = draw(st.lists(fractions, min_size=n, max_size=n))
     soh = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
@@ -219,8 +217,11 @@ def fleets(draw):
     eta = draw(st.floats(0.5, 1.0))
     schedule = tuple(draw(st.lists(fractions, min_size=24, max_size=24)))
     order = draw(st.permutations(range(n)))
+    cycle_coeff = draw(st.floats(0.0, 1e-3))
+    calendar_coeff = draw(st.floats(0.0, 1e-4))
     array_fleet = FleetState(
         soc=soc, soh=soh, capacity_kwh=capacity, c_rate=c_rate, eta_inv=eta,
+        cycle_coeff=cycle_coeff, calendar_coeff=calendar_coeff,
         availability_schedule=schedule, order=order,
     )
     ref_fleet = ref.FleetState(
@@ -229,6 +230,8 @@ def fleets(draw):
             for s, h in zip(soc, soh)
         ],
         eta_inv=eta,
+        cycle_coeff=cycle_coeff,
+        calendar_coeff=calendar_coeff,
         availability_schedule=schedule,
         order=tuple(order),
     )
@@ -237,21 +240,17 @@ def fleets(draw):
 
 power = st.floats(-2000.0, 2000.0) | st.just(0.0)
 requests = st.lists(
-    st.tuples(power, power, st.integers(0, 47), st.floats(0.05, 2.0)),
-    min_size=1, max_size=30,
-)
-degradations = st.builds(
-    DegradationParams, st.floats(0.0, 1e-3), st.floats(0.0, 1e-4)
+    st.tuples(power, power, st.integers(0, 47)), min_size=1, max_size=30,
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(fleets(), requests, degradations)
-def test_allocate_matches_per_ev_reference(pair, seq, deg):
+@given(fleets(), requests)
+def test_allocate_matches_per_ev_reference(pair, seq):
     fleet, ref_fleet = pair
-    for p, q, hour, dt_h in seq:
-        got = allocate(p, q, fleet, hour, dt_h, deg)
-        want = ref.allocate(p, q, ref_fleet, hour, dt_h, deg)
+    for p, q, hour in seq:
+        got = allocate(p, q, fleet, hour)
+        want = ref.allocate(p, q, ref_fleet, hour)
         # same operations in the same order: equal, not merely close
         assert got == want
         assert fleet.soc.tolist() == [ev.soc for ev in ref_fleet.evs]
@@ -260,14 +259,14 @@ def test_allocate_matches_per_ev_reference(pair, seq, deg):
 
 
 @settings(max_examples=150, deadline=None)
-@given(fleets(), requests, degradations)
-def test_allocate_invariants(pair, seq, deg):
+@given(fleets(), requests)
+def test_allocate_invariants(pair, seq):
     fleet, _ = pair
-    for p, q, hour, dt_h in seq:
+    for p, q, hour in seq:
         soc_before, soh_before = fleet.soc.copy(), fleet.soh.copy()
         mark_availability(fleet, hour)
         caps = capability(fleet, discharge=p >= 0)
-        res = allocate(p, q, fleet, hour, dt_h, deg)
+        res = allocate(p, q, fleet, hour)
 
         assert np.all((fleet.soc >= 0.0) & (fleet.soc <= 1.0))
         assert np.all(fleet.soh <= soh_before)
@@ -275,5 +274,5 @@ def test_allocate_invariants(pair, seq, deg):
         assert math.hypot(res.p_sup_kw, res.q_sup_kvar) <= math.hypot(p, q) * (1 + 1e-12)
         assert res.p_fleet_kw <= caps.sum() * (1 + 1e-12) + 1e-9
         # per-EV battery power seen through the SOC change (a clip only shrinks it)
-        drawn = np.abs(fleet.soc - soc_before) * fleet.capacity_kwh * soh_before / dt_h
+        drawn = np.abs(fleet.soc - soc_before) * fleet.capacity_kwh * soh_before
         assert np.all(drawn <= caps * (1 + 1e-9) + 1e-6)

@@ -4,6 +4,7 @@ import importlib
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,14 +113,44 @@ def test_ev_constrained_run_tracks_soc(mild_scenario):
     assert any(r.hub_rho["890"] < 1.0 for r in run.hours)
 
 
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_only_the_starved_hub_scales_its_delivery(k, monkeypatch):
+    """Ample fleets everywhere but hub k, which has no EVs; every hub asks
+    for half its rating in the V2G window. Only hub k's rho drops."""
+    sc = load_scenario("multi_hub_mild")
+    sc = dataclasses.replace(
+        sc, fleet=dataclasses.replace(sc.fleet, capacity_kwh=2000.0, c_rate=1.0)
+    )
+    eval_module = importlib.import_module("voltfleet.harness.evaluate")
+    build = eval_module.build_fleets
+
+    def starving_k(scenario, seed_seq):
+        fleets = list(build(scenario, seed_seq))
+        fleets[k] = fleet_module.FleetState(soc=[], soh=[])
+        return tuple(fleets)
+
+    monkeypatch.setattr(eval_module, "build_fleets", starving_k)
+    n_act = 2 * len(sc.hub_buses)
+    agent = SimpleNamespace(
+        obs_dim=len(sc.feeder.buses), act_dim=n_act,
+        act=lambda obs, deterministic: np.full(n_act, 0.5),
+    )
+    run = evaluate(sc, "rl", agent=agent, ev_constrained=True)
+    lo, hi = sc.v2g_window
+    for r in run.hours:
+        starved = {b for b, rho in r.hub_rho.items() if rho < 1.0}
+        assert starved == ({sc.hub_buses[k]} if lo <= r.hour < hi else set())
+        assert list(r.hub_rho) == list(sc.hub_buses)
+
+
 def _marking_snapshot(env, hour):
     """The EV columns as read by marking each fleet's availability first."""
     socs, count = [], 0
-    for fleet in env.fleets.values():
+    for fleet in env.fleets:
         fleet_module.mark_availability(fleet, hour)
         socs.append(float(np.mean(fleet.soc)) * fleet.soc.size)
         count += int(fleet.available.sum())
-    return sum(socs) / sum(f.soc.size for f in env.fleets.values()), count
+    return sum(socs) / sum(f.soc.size for f in env.fleets), count
 
 
 @pytest.mark.parametrize("name", ["multi_hub_mild", "single_hub_aggressive"])

@@ -153,6 +153,11 @@ def test_inline_profile_values(tmp_path):
         (BASE_INI + "[fleet]\nsoh_init = 0\n", "soh_init"),
         (BASE_INI + "[fleet]\nsoh_init = 1.2\n", "soh_init"),
         (BASE_INI + "[fleet]\neta_inv = 0\n", "eta_inv"),
+        *(
+            (BASE_INI + f"[fleet]\n{key} = {bad}\n", key)
+            for key in ("cycle_coeff", "calendar_coeff")
+            for bad in ("nan", "inf", "-inf", "-1e-6")
+        ),
         (BASE_INI + "[droop]\ndeadband = 0.12\n", "deadband"),
         (BASE_INI + "[droop]\nv_sat_high = 0.99\n", "saturation"),
     ],
@@ -165,15 +170,24 @@ def test_malformed_scenarios_rejected(tmp_path, body, fragment):
 def test_build_fleets_split_and_ranges():
     sc = load_scenario("multi_hub_mild")
     fleets = build_fleets(sc, 3)
-    assert sorted(fleets) == sorted(sc.hub_buses)
-    assert sum(f.soc.size for f in fleets.values()) == 120
-    for f in fleets.values():
+    assert len(fleets) == len(sc.hub_buses)
+    assert sum(f.soc.size for f in fleets) == 120
+    for f in fleets:
         assert f.soc.size == 24
         assert sorted(f.order) == list(range(24))
         for soc, soh in zip(f.soc, f.soh):
             assert 0.2 <= soc <= 0.9
             assert soh == 0.95
         assert f.capacity_kwh == 75.0
+
+
+def test_build_fleets_carry_the_scenario_aging():
+    sc = load_scenario("multi_hub_mild")
+    sc = dataclasses.replace(
+        sc, fleet=dataclasses.replace(sc.fleet, cycle_coeff=2e-5, calendar_coeff=3e-7)
+    )
+    for f in build_fleets(sc, 3):
+        assert (f.cycle_coeff, f.calendar_coeff) == (2e-5, 3e-7)
 
 
 def test_build_fleets_remainder_goes_to_first_hubs():
@@ -184,14 +198,14 @@ def test_build_fleets_remainder_goes_to_first_hubs():
         fleet=dataclasses.replace(sc.fleet, ev_count=7),
     )
     fleets = build_fleets(sc, 0)
-    assert [fleets[b].soc.size for b in sc.hub_buses] == [4, 3]
+    assert [f.soc.size for f in fleets] == [4, 3]
 
 
 def test_build_fleets_deterministic_and_seed_sensitive():
     sc = load_scenario("single_hub_mild")
-    a = build_fleets(sc, 11)["890"]
-    b = build_fleets(sc, 11)["890"]
-    c = build_fleets(sc, 12)["890"]
+    a = build_fleets(sc, 11)[0]
+    b = build_fleets(sc, 11)[0]
+    c = build_fleets(sc, 12)[0]
     assert a.soc.tolist() == b.soc.tolist()
     assert a.order.tolist() == b.order.tolist()
     assert a.soc.tolist() != c.soc.tolist()
@@ -199,6 +213,6 @@ def test_build_fleets_deterministic_and_seed_sensitive():
 
 def test_build_fleets_accepts_seed_sequence():
     sc = load_scenario("single_hub_mild")
-    a = build_fleets(sc, np.random.SeedSequence(5))["890"]
-    b = build_fleets(sc, np.random.SeedSequence(5))["890"]
+    a = build_fleets(sc, np.random.SeedSequence(5))[0]
+    b = build_fleets(sc, np.random.SeedSequence(5))[0]
     assert a.soc.tolist() == b.soc.tolist()

@@ -79,6 +79,36 @@ def test_dense_stack_matches_op_by_op_tape(seed, n_in, hidden, n_out, batch,
         assert (g is None) == (not trainable)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 256])
+def test_dead_unit_under_negative_gradient_leaves_no_negative_zero(dtype, batch):
+    """Unit 0 of each hidden layer is dead across the whole batch and every
+    upstream gradient is negative, so the ReLU mask leaves a column of -0.0.
+    The gradients made from it are kept without a + 0.0 pass: none may hold
+    a -0.0, and all must have the op-by-op tape's bits."""
+    rng = np.random.default_rng(17)
+    net = DenseNet([6, 256, 256, 3], rng, dtype=dtype)
+    for w in net.weights:
+        w.data[:] = np.abs(w.data)  # with x >= 0 and c < 0: every upstream gradient < 0
+    for w in net.weights[:-1]:
+        w.data[:, 0] = 0.0
+    x = Tensor(np.abs(rng.standard_normal((batch, 6))).astype(dtype), requires_grad=True)
+    c = Tensor(-np.ones((batch, 3), dtype))
+    grads = {}
+    for name, forward in (("reference", tape_reference.forward), ("fused", DenseNet.forward)):
+        for p in net.params():
+            p.grad = None
+        x.grad = None
+        (forward(net, x) * c).sum().backward()
+        grads[name] = [p.grad for p in net.params()] + [x.grad]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        assert np.all(w.grad[:, 0] == 0.0) and b.grad[0] == 0.0  # the dead unit
+    for g, rg in zip(grads["fused"], grads["reference"]):
+        assert g.dtype == dtype
+        assert not np.any(np.signbit(g) & (g == 0.0))
+        assert same_bits(g, rg)
+
+
 def test_forward_np_matches_forward():
     rng = np.random.default_rng(5)
     net = random_net(rng, 6, [16, 16], 3)
