@@ -35,21 +35,15 @@ VIOLATION_SCALE = 100.0
 _MAX_RESAMPLES = 1000
 
 
-def reward_from_voltages(
-    v_pu: np.ndarray,
-    v_low: float = V_LOW_PU,
-    v_high: float = V_HIGH_PU,
-    bonus: float = IN_BAND_BONUS,
-    scale: float = VIOLATION_SCALE,
-) -> float:
+def reward_from_voltages(v_pu: np.ndarray) -> float:
     """Flat bonus when every bus is in band, else the summed band distance."""
     v = np.asarray(v_pu, dtype=float)
-    under = np.clip(v_low - v, 0.0, None)
-    over = np.clip(v - v_high, 0.0, None)
+    under = np.clip(V_LOW_PU - v, 0.0, None)
+    over = np.clip(v - V_HIGH_PU, 0.0, None)
     total = under.sum() + over.sum()
     if total == 0.0:
-        return bonus
-    return float(-scale * total)
+        return IN_BAND_BONUS
+    return float(-VIOLATION_SCALE * total)
 
 
 def action_to_setpoints(
@@ -73,7 +67,6 @@ class EnvConfig:
     mode: str = "train"  # train: random loading; eval: 24 h daily profile
     episode_len: int = 100
     lambda_range: tuple[float, float] = (0.1, 4.0)
-    lambda_mode: str = "per_step"  # or per_episode
     profile: tuple[float, ...] | None = None
     v2g_window: tuple[int, int] = (6, 23)
     nonconvergence_penalty: float = -1000.0
@@ -85,8 +78,6 @@ class EnvConfig:
             raise ValueError("phase must be 1 or 2")
         if self.mode == "eval" and (self.profile is None or len(self.profile) != 24):
             raise ValueError("eval mode needs a 24-hour profile")
-        if self.lambda_mode not in ("per_step", "per_episode"):
-            raise ValueError("lambda_mode must be per_step or per_episode")
         hub_map = {h.bus for h in self.feeder.hubs}
         missing = [b for b in self.hub_buses if b not in hub_map]
         if missing:
@@ -96,16 +87,15 @@ class EnvConfig:
 
 
 def config_from_scenario(
-    scenario: Scenario, mode: str = "train", phase: int | None = None
+    scenario: Scenario, mode: str = "train", phase: int = 1
 ) -> EnvConfig:
     return EnvConfig(
         feeder=scenario.feeder,
         hub_buses=scenario.hub_buses,
-        phase=scenario.phase if phase is None else phase,
+        phase=phase,
         mode=mode,
         episode_len=scenario.episode_len,
         lambda_range=(scenario.lambda_min, scenario.lambda_max),
-        lambda_mode=scenario.lambda_mode,
         profile=scenario.profile,
         v2g_window=scenario.v2g_window,
         nonconvergence_penalty=scenario.nonconvergence_penalty,
@@ -147,7 +137,7 @@ class V2GEnv:
         self.clamp_events = 0
         self.degenerate_resets = 0
         self.nonconverged_steps = 0
-        self._obs: np.ndarray | None = None
+        self._sol = None
         self._done = True
 
     @property
@@ -159,7 +149,7 @@ class V2GEnv:
         return 2 * len(self.hubs)
 
     def _require_reset(self) -> None:
-        if self._obs is None:
+        if self._sol is None:
             raise RuntimeError("environment not started; call reset() first")
 
     @property
@@ -195,16 +185,14 @@ class V2GEnv:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         self._t = 0
+        self._hour = 0
         self._done = False
         if self.config.mode == "eval":
-            self._hour = 0
             self._lam = self.config.profile[0]
             self._sol = self._solve()
         else:
-            self._hour = 0
             self._draw_lambda()
-        self._obs = self._sol.v_pu.copy()
-        return self._obs.copy()
+        return self._sol.v_pu.copy()
 
     def _window_open(self) -> bool:
         if self.config.mode == "train":
@@ -260,14 +248,11 @@ class V2GEnv:
             else:
                 self._lam = self.config.profile[self._hour]
                 self._sol = self._solve()
-                self._obs = self._sol.v_pu.copy()
         else:
             self._hour = self._t % 24
             if self._t >= self.config.episode_len:
                 self._done = True
-            elif self.config.lambda_mode == "per_step":
+            else:
                 self._draw_lambda()
-                self._obs = self._sol.v_pu.copy()
-            # per_episode: loading, solution and observation stand
 
-        return StepResult(self._obs.copy(), r, self._done, info)
+        return StepResult(self._sol.v_pu.copy(), r, self._done, info)

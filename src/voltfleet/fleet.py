@@ -21,11 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def check_aging(cycle_coeff: float, calendar_coeff: float) -> None:
-    """Raise ValueError unless both aging coefficients are finite and >= 0."""
-    for name, value in (("cycle_coeff", cycle_coeff), ("calendar_coeff", calendar_coeff)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+def check_pack(capacity_kwh: float, c_rate: float, eta_inv: float,
+               cycle_coeff: float, calendar_coeff: float) -> None:
+    """Raise ValueError naming the first pack value out of its domain (NaN is)."""
+    for name, value, ok, domain in (
+        ("capacity_kwh", capacity_kwh, 0.0 < capacity_kwh < math.inf, "finite and > 0"),
+        ("c_rate", c_rate, 0.0 < c_rate < math.inf, "finite and > 0"),
+        ("eta_inv", eta_inv, 0.0 < eta_inv <= 1.0, "in (0, 1]"),
+        ("cycle_coeff", cycle_coeff, 0.0 <= cycle_coeff < math.inf, "finite and >= 0"),
+        ("calendar_coeff", calendar_coeff, 0.0 <= calendar_coeff < math.inf, "finite and >= 0"),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {domain}, got {value}")
 
 
 @dataclass
@@ -59,13 +66,8 @@ class FleetState:
             raise ValueError("soc must lie in [0, 1]")
         if not np.all((self.soh > 0.0) & (self.soh <= 1.0)):
             raise ValueError("soh must lie in (0, 1]")
-        if not self.capacity_kwh > 0:
-            raise ValueError("capacity_kwh must be positive")
-        if not self.c_rate > 0:
-            raise ValueError("c_rate must be positive")
-        if not 0 < self.eta_inv <= 1:
-            raise ValueError("eta_inv must be in (0, 1]")
-        check_aging(self.cycle_coeff, self.calendar_coeff)
+        check_pack(self.capacity_kwh, self.c_rate, self.eta_inv,
+                   self.cycle_coeff, self.calendar_coeff)
         if not self.availability_schedule:
             raise ValueError("availability schedule needs at least one fraction")
         for f in self.availability_schedule:

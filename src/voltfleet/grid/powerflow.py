@@ -44,8 +44,6 @@ def solve_power_flow(
     hub_index: np.ndarray | None = None,
     hub_pq: np.ndarray | None = None,
     v_slack_pu: float = 1.0,
-    tolerance_pu: float = DEFAULT_TOLERANCE_PU,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> PowerFlowSolution:
     """Backward/forward sweep solve at load multiplier `lam` >= 0.
 
@@ -85,7 +83,7 @@ def solve_power_flow(
     mismatch = np.inf
     iterations = 0
     with np.errstate(all="ignore"):  # divergence handled via the finite check
-        for iterations in range(1, max_iterations + 1):
+        for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
             v = v_slack - net.path_impedance @ np.conj(s_net / v)
             # power-balance residual at every non-slack bus: the lines
             # deliver -V conj(Y V) into each bus, which must meet its demand
@@ -94,10 +92,10 @@ def solve_power_flow(
             if not math.isfinite(mismatch):
                 mismatch = np.inf
                 break
-            if mismatch <= tolerance_pu:
+            if mismatch <= DEFAULT_TOLERANCE_PU:
                 break
 
-    converged = math.isfinite(mismatch) and mismatch <= tolerance_pu
+    converged = math.isfinite(mismatch) and mismatch <= DEFAULT_TOLERANCE_PU
     v[root] = v_slack  # slack pinned bit-for-bit
     return PowerFlowSolution(
         bus_ids=feeder.bus_ids,

@@ -121,13 +121,11 @@ def evaluate(
     run_seed = scenario.seed if seed is None else seed
 
     fleets = None
-    phase = 1
     if ev_constrained:
-        phase = 2
         fleet_seq = np.random.SeedSequence(entropy=run_seed, spawn_key=(1,))
         fleets = build_fleets(scenario, fleet_seq)
 
-    cfg = config_from_scenario(scenario, mode="eval", phase=phase)
+    cfg = config_from_scenario(scenario, mode="eval", phase=2 if ev_constrained else 1)
     env = V2GEnv(cfg, fleets=fleets, seed=run_seed)
 
     act: Callable[[np.ndarray], np.ndarray]

@@ -20,7 +20,6 @@ DIVERGENCE_DUMP = "sac_divergence_dump.npz"
 class TrainResult:
     steps: int
     history: list[dict] = field(default_factory=list)
-    random_return: float | None = None
 
 
 def episode_return(env, agent: SacAgent | None, rng=None, deterministic=True) -> float:

@@ -1,20 +1,26 @@
-"""Scenario files: INI descriptions of a feeder + profile + fleet + droop setup."""
+"""Scenario files: INI descriptions of a feeder + profile + fleet + droop setup.
+
+A file holds a `[scenario]` section and optional `[fleet]` and `[droop]`
+sections. Each key is read once, into the field it sets on `Scenario`,
+`FleetSpec` or `DroopCurve`; a key the file leaves out takes the field's
+default. An unknown section or key, or any key under `[DEFAULT]`, is a
+ValueError naming the file, the section and the key.
+"""
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .droop import DroopCurve
-from .fleet import FleetState, check_aging
+from .fleet import FleetState, check_pack
 from .grid import Feeder, load_feeder_file
 from .profiles import load_profile
 from .resources import feeder_path, scenario_path
-
-_LAMBDA_MODES = ("per_step", "per_episode")
 
 
 @dataclass(frozen=True)
@@ -32,18 +38,12 @@ class FleetSpec:
     def __post_init__(self):
         if self.ev_count < 0:
             raise ValueError("ev_count must be >= 0")
-        if not self.capacity_kwh > 0:
-            raise ValueError("capacity_kwh must be positive")
-        if not self.c_rate > 0:
-            raise ValueError("c_rate must be positive")
         if not 0.0 < self.soh_init <= 1.0:
             raise ValueError("soh_init must lie in (0, 1]")
-        if not 0.0 < self.eta_inv <= 1.0:
-            raise ValueError("eta_inv must lie in (0, 1]")
-        check_aging(self.cycle_coeff, self.calendar_coeff)
-        lo, hi = self.soc_init
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError("soc_init bounds must satisfy 0 <= lo <= hi <= 1")
+        check_pack(self.capacity_kwh, self.c_rate, self.eta_inv,
+                   self.cycle_coeff, self.calendar_coeff)
+        if len(self.soc_init) != 2 or not 0.0 <= self.soc_init[0] <= self.soc_init[1] <= 1.0:
+            raise ValueError("soc_init wants two bounds: 0 <= low <= high <= 1")
         if len(self.availability) != 24:
             raise ValueError("availability needs 24 hourly fractions")
         if any(not 0.0 <= a <= 1.0 for a in self.availability):
@@ -58,76 +58,118 @@ class Scenario:
     profile_name: str
     profile: tuple[float, ...]
     hub_buses: tuple[str, ...]
-    phase: int = 1
     episode_len: int = 100
     lambda_min: float = 0.1
     lambda_max: float = 4.0
-    lambda_mode: str = "per_step"
     v2g_window: tuple[int, int] = (6, 23)
     nonconvergence_penalty: float = -1000.0
     seed: int = 0
     fleet: FleetSpec = field(default_factory=FleetSpec)
     droop: DroopCurve = field(default_factory=DroopCurve)
 
+    def __post_init__(self):
+        if self.episode_len < 1:
+            raise ValueError("episode_len must be >= 1")
+        if not 0.0 <= self.lambda_min < self.lambda_max < math.inf:
+            raise ValueError("need 0 <= lambda_min < lambda_max < inf")
+        if len(self.v2g_window) != 2 or not 0 <= self.v2g_window[0] < self.v2g_window[1] <= 24:
+            raise ValueError("v2g_window wants two hours: 0 <= start < end <= 24")
+        if not math.isfinite(self.nonconvergence_penalty):
+            raise ValueError("nonconvergence_penalty must be finite")
+
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.replace(",", " ").split())
 
 
-def _parse_fleet(sec) -> FleetSpec:
-    avail = _floats(sec.get("availability", "1.0"))
-    if len(avail) == 1:
-        avail = avail * 24
-    soc = _floats(sec.get("soc_init", "0.2 0.9"))
-    if len(soc) != 2:
-        raise ValueError("soc_init wants two numbers: low high")
-    return FleetSpec(
-        ev_count=sec.getint("ev_count", 30),
-        capacity_kwh=sec.getfloat("capacity_kwh", 75.0),
-        soc_init=(soc[0], soc[1]),
-        soh_init=sec.getfloat("soh_init", 0.95),
-        eta_inv=sec.getfloat("eta_inv", 0.96),
-        c_rate=sec.getfloat("c_rate", 0.5),
-        cycle_coeff=sec.getfloat("cycle_coeff", 5e-6),
-        calendar_coeff=sec.getfloat("calendar_coeff", 1e-7),
-        availability=avail,
-    )
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def _parse_droop(sec) -> DroopCurve:
-    return DroopCurve(
-        deadband_pu=sec.getfloat("deadband", 0.02),
-        v_sat_low_pu=sec.getfloat("v_sat_low", 0.90),
-        v_sat_high_pu=sec.getfloat("v_sat_high", 1.10),
-        fixed_point=sec.getboolean("fixed_point", False),
-    )
+def _hourly(text: str) -> tuple[float, ...]:
+    """24 hourly values; a single value stands for every hour."""
+    values = _floats(text)
+    return values * 24 if len(values) == 1 else values
+
+
+def _boolean(text: str) -> bool:
+    """configparser's getboolean: 1/yes/true/on or 0/no/false/off, any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text}") from None
+
+
+# section -> key -> conversion of its text (int, float: as getint, getfloat);
+# load_scenario resolves feeder, profile(_values) and hubs, the rest are fields
+_KEYS = {
+    "scenario": dict(
+        feeder=str, profile=str, profile_values=_floats, hubs=str, episode_len=int,
+        lambda_min=float, lambda_max=float, v2g_window=_ints,
+        nonconvergence_penalty=float, seed=int,
+    ),
+    "fleet": dict(
+        ev_count=int, capacity_kwh=float, soc_init=_floats, soh_init=float, eta_inv=float,
+        c_rate=float, cycle_coeff=float, calendar_coeff=float, availability=_hourly,
+    ),
+    "droop": dict(deadband=float, v_sat_low=float, v_sat_high=float, fixed_point=_boolean),
+}
+_FIELDS = {"deadband": "deadband_pu", "v_sat_low": "v_sat_low_pu", "v_sat_high": "v_sat_high_pu"}
+
+
+def _read(path: Path, parser: configparser.ConfigParser, section: str) -> dict:
+    """The converted values of the keys the section holds, by field name."""
+    if section not in parser:
+        return {}
+    known = _KEYS[section]
+    values = {}
+    for key, text in parser[section].items():
+        if key not in known:
+            raise ValueError(f"{path}: [{section}] unknown key {key!r}; known: {sorted(known)}")
+        try:
+            values[_FIELDS.get(key, key)] = known[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+    return values
+
+
+def _build(path: Path, section: str, cls, values: dict):
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{section}] {exc}") from None
 
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
     path = scenario_path(str(name_or_path))
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read(path)
+    for key in parser.defaults():
+        raise ValueError(f"{path}: [DEFAULT] key {key!r}: scenario files take no defaults")
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ValueError(f"{path}: unknown section [{section}]; known: {sorted(_KEYS)}")
     if "scenario" not in parser:
         raise ValueError(f"{path}: missing [scenario] section")
-    sec = parser["scenario"]
+    values = _read(path, parser, "scenario")
 
-    feeder_name = sec.get("feeder")
+    feeder_name = values.pop("feeder", "")
     if not feeder_name:
         raise ValueError(f"{path}: [scenario] needs a feeder")
     feeder = load_feeder_file(feeder_path(feeder_name))
 
-    profile_name = sec.get("profile", "")
-    if "profile_values" in sec:
-        profile = _floats(sec["profile_values"])
+    profile_name = values.pop("profile", "")
+    if "profile_values" in values:
+        profile = values.pop("profile_values")
         if len(profile) != 24:
-            raise ValueError("profile_values needs 24 hourly multipliers")
+            raise ValueError(f"{path}: [scenario] profile_values needs 24 hourly multipliers")
         profile_name = profile_name or "inline"
     elif profile_name:
         profile = load_profile(profile_name)
     else:
         raise ValueError(f"{path}: [scenario] needs profile or profile_values")
 
-    hubs_tok = sec.get("hubs", "all").strip()
+    hubs_tok = values.pop("hubs", "all")
     feeder_hub_buses = tuple(h.bus for h in feeder.hubs)
     if hubs_tok.lower() == "all":
         hub_buses = feeder_hub_buses
@@ -139,45 +181,21 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     if not hub_buses:
         raise ValueError(f"{path}: scenario has no V2G hubs")
 
-    phase = sec.getint("phase", 1)
-    if phase not in (1, 2):
-        raise ValueError("phase must be 1 or 2")
-    lam_lo = sec.getfloat("lambda_min", 0.1)
-    lam_hi = sec.getfloat("lambda_max", 4.0)
-    if not (0.0 <= lam_lo < lam_hi):
-        raise ValueError("need 0 <= lambda_min < lambda_max")
-    mode = sec.get("lambda_mode", "per_step").strip()
-    if mode not in _LAMBDA_MODES:
-        raise ValueError(f"lambda_mode must be one of {_LAMBDA_MODES}")
-    win = sec.get("v2g_window", "6 23").replace(",", " ").split()
-    if len(win) != 2:
-        raise ValueError("v2g_window wants two hours: start end")
-    w_lo, w_hi = int(win[0]), int(win[1])
-    if not (0 <= w_lo < w_hi <= 24):
-        raise ValueError("v2g_window must satisfy 0 <= start < end <= 24")
-
-    return Scenario(
+    return _build(path, "scenario", Scenario, dict(
         name=Path(path).stem,
         feeder_name=feeder_name,
         feeder=feeder,
         profile_name=profile_name,
         profile=tuple(profile),
         hub_buses=hub_buses,
-        phase=phase,
-        episode_len=sec.getint("episode_len", 100),
-        lambda_min=lam_lo,
-        lambda_max=lam_hi,
-        lambda_mode=mode,
-        v2g_window=(w_lo, w_hi),
-        nonconvergence_penalty=sec.getfloat("nonconvergence_penalty", -1000.0),
-        seed=sec.getint("seed", 0),
-        fleet=_parse_fleet(sec=parser["fleet"] if "fleet" in parser else parser["DEFAULT"]),
-        droop=_parse_droop(sec=parser["droop"] if "droop" in parser else parser["DEFAULT"]),
-    )
+        fleet=_build(path, "fleet", FleetSpec, _read(path, parser, "fleet")),
+        droop=_build(path, "droop", DroopCurve, _read(path, parser, "droop")),
+        **values,
+    ))
 
 
 def build_fleets(
-    scenario: Scenario, seed_seq: np.random.SeedSequence | int | None = None
+    scenario: Scenario, seed_seq: np.random.SeedSequence | int
 ) -> tuple[FleetState, ...]:
     """One independent fleet per active hub, in ``hub_buses`` order.
 
@@ -188,8 +206,6 @@ def build_fleets(
     subset each day. Each fleet ages at the scenario's coefficients.
     """
     spec = scenario.fleet
-    if seed_seq is None:
-        seed_seq = scenario.seed
     if not isinstance(seed_seq, np.random.SeedSequence):
         seed_seq = np.random.SeedSequence(seed_seq)
     n_hubs = len(scenario.hub_buses)

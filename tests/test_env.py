@@ -143,7 +143,7 @@ def test_zero_action_scores_uncontrolled_grid(two_bus):
 
 
 def test_injection_raises_reward_on_sagging_feeder(two_bus):
-    cfg = train_config(two_bus, lam_range=(1.0, 1.0), lambda_mode="per_episode")
+    cfg = train_config(two_bus, lam_range=(1.0, 1.0))
     env = V2GEnv(cfg, seed=0)
     env.reset()
     passive = env.step(np.zeros(2)).reward
@@ -171,7 +171,7 @@ def test_window_open_passes_action_through(two_bus):
 
 
 def test_out_of_range_action_clamped_and_counted(two_bus):
-    cfg = train_config(two_bus, lam_range=(1.0, 1.0), lambda_mode="per_episode")
+    cfg = train_config(two_bus, lam_range=(1.0, 1.0))
     env = V2GEnv(cfg, seed=0)
     env.reset()
     r_clamped = env.step(np.array([2.0, -3.0])).reward
@@ -300,7 +300,7 @@ def test_phase2_scales_delivery_when_fleet_is_small(five_bus):
         soc=[0.5], soh=[1.0], capacity_kwh=20.0, c_rate=0.5, eta_inv=0.96
     )
     cfg = train_config(
-        five_bus, lam_range=(1.0, 1.0), lambda_mode="per_episode", phase=2
+        five_bus, lam_range=(1.0, 1.0), phase=2
     )
     env = V2GEnv(cfg, fleets=[tiny], seed=0)
     env.reset()

@@ -193,6 +193,12 @@ def test_draw_never_exceeds_available_power():
             for key in ("cycle_coeff", "calendar_coeff")
             for bad in (math.nan, math.inf, -math.inf, -1e-6)
         ),
+        *(
+            (dict(soc=[0.5], soh=[1.0], **{key: bad}), key)
+            for key in ("capacity_kwh", "c_rate")
+            for bad in (math.inf, math.nan)
+        ),
+        (dict(soc=[0.5], soh=[1.0], eta_inv=math.nan), "eta_inv"),
     ],
 )
 def test_fleet_state_rejects_bad_inputs(kwargs, fragment):

@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from voltfleet.droop import DroopCurve
 from voltfleet.profiles import load_profile
-from voltfleet.scenario import build_fleets, load_scenario
+from voltfleet.resources import scenario_path
+from voltfleet.scenario import FleetSpec, build_fleets, load_scenario
 
 SHIPPED = [
     "single_hub_mild",
@@ -71,7 +73,6 @@ def test_shipped_scenarios_load(name):
     sc = load_scenario(name)
     assert sc.name == name
     assert len(sc.profile) == 24
-    assert sc.phase == 1
     assert sc.v2g_window == (6, 23)
     feeder_hubs = {h.bus for h in sc.feeder.hubs}
     assert set(sc.hub_buses) <= feeder_hubs
@@ -82,7 +83,6 @@ def test_single_hub_mild_fields():
     assert sc.feeder_name == "ieee34_equiv"
     assert sc.hub_buses == ("890",)
     assert sc.nonconvergence_penalty == -1000.0
-    assert sc.lambda_mode == "per_step"
     assert (sc.lambda_min, sc.lambda_max) == (0.1, 4.0)
     assert sc.fleet.ev_count == 30
     assert sc.fleet.eta_inv == 0.96
@@ -115,11 +115,12 @@ hubs = 2
 
 def test_minimal_scenario_defaults(tmp_path):
     sc = load_scenario(_write_scenario(tmp_path, BASE_INI))
-    assert sc.phase == 1
     assert sc.episode_len == 100
     assert sc.seed == 0
     assert sc.fleet.ev_count == 30
     assert sc.fleet.availability == (1.0,) * 24
+    assert sc.fleet == FleetSpec()
+    assert sc.droop == DroopCurve()
 
 
 def test_inline_profile_values(tmp_path):
@@ -158,8 +159,26 @@ def test_inline_profile_values(tmp_path):
             for key in ("cycle_coeff", "calendar_coeff")
             for bad in ("nan", "inf", "-inf", "-1e-6")
         ),
+        *(
+            (BASE_INI + f"[fleet]\n{key} = {bad}\n", key)
+            for key in ("capacity_kwh", "c_rate")
+            for bad in ("inf", "nan")
+        ),
+        (BASE_INI + "[fleet]\neta_inv = nan\n", "eta_inv"),
+        (BASE_INI + "lambda_max = inf\n", "lambda_max"),
+        (BASE_INI + "episode_len = 0\n", "episode_len"),
+        (BASE_INI + "episode_len = -5\n", "episode_len"),
+        (BASE_INI + "nonconvergence_penalty = nan\n", "nonconvergence_penalty"),
         (BASE_INI + "[droop]\ndeadband = 0.12\n", "deadband"),
         (BASE_INI + "[droop]\nv_sat_high = 0.99\n", "saturation"),
+        (
+            scenario_path("multi_hub_mild").read_text().replace(
+                "[fleet]\nev_count = 120", "[fleets]\nev_count = 120"),
+            r"case\.ini: unknown section \[fleets\]",
+        ),
+        (BASE_INI + "lamda_max = 2.0\n", r"\[scenario\] unknown key 'lamda_max'"),
+        (BASE_INI + "[droop]\nfixed_point = maybe\n", r"\[droop\] fixed_point"),
+        ("[DEFAULT]\nev_count = 3\n" + BASE_INI, r"\[DEFAULT\] key 'ev_count'"),
     ],
 )
 def test_malformed_scenarios_rejected(tmp_path, body, fragment):
