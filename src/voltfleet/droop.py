@@ -30,10 +30,17 @@ class DroopCurve:
     fixed_point: bool = False
 
     def __post_init__(self):
-        if not 0 < self.deadband_pu < 1.0 - self.v_sat_low_pu:
-            raise ValueError("deadband must be positive and inside the saturation band")
         if not self.v_sat_low_pu < 1.0 < self.v_sat_high_pu:
             raise ValueError("saturation voltages must bracket 1.0")
+        # both ramp widths, as droop_output divides by them, must be positive
+        d = self.deadband_pu
+        if not (d > 0 and 1.0 - d - self.v_sat_low_pu > 0 and self.v_sat_high_pu - (1.0 + d) > 0):
+            raise ValueError("deadband must be positive and inside the saturation band")
+
+
+def _unit(x: float) -> float:
+    """`x` clipped to [0, 1] as numpy's clip does: NaN stays NaN, -0.0 gives 0.0."""
+    return 0.0 if x <= 0.0 else 1.0 if x > 1.0 else x
 
 
 def droop_output(curve: DroopCurve, v_pu):
@@ -41,15 +48,20 @@ def droop_output(curve: DroopCurve, v_pu):
 
     A float gives a float, an array an array of the same shape. Below the
     deadband only the sag ramp is non-zero, above it only the swell ramp.
+    The few hub voltages are mapped as Python floats, which costs less
+    than the numpy calls of the array expression and gives its bits.
     """
-    v = np.asarray(v_pu, dtype=float)
-    if (v <= 0).any():
-        raise ValueError("voltage must be positive")
     lo_edge = 1.0 - curve.deadband_pu
     hi_edge = 1.0 + curve.deadband_pu
-    sag = ((lo_edge - v) / (lo_edge - curve.v_sat_low_pu)).clip(0.0, 1.0)
-    swell = ((v - hi_edge) / (curve.v_sat_high_pu - hi_edge)).clip(0.0, 1.0)
-    return (sag - swell)[()]
+    sag_span = lo_edge - curve.v_sat_low_pu
+    swell_span = curve.v_sat_high_pu - hi_edge
+    v = np.asarray(v_pu, dtype=float)
+    out = []
+    for x in v.ravel().tolist():
+        if x <= 0:
+            raise ValueError("voltage must be positive")
+        out.append(_unit((lo_edge - x) / sag_span) - _unit((x - hi_edge) / swell_span))
+    return out[0] if v.ndim == 0 else np.array(out).reshape(v.shape)
 
 
 def droop_control(

@@ -23,6 +23,7 @@ comment. Example::
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .model import Bus, Feeder, Hub, Line, LoadPoint, build_feeder
@@ -44,10 +45,12 @@ def _fields(raw: str) -> list[str]:
 
 def _number(tok: str, lineno: int, what: str) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         _fail(lineno, f"{what}: expected a number, got {tok!r}")
-    raise AssertionError  # unreachable
+    if not math.isfinite(value):
+        _fail(lineno, f"{what}: expected a finite number, got {tok!r}")
+    return value
 
 
 def _flag(tok: str, lineno: int, what: str) -> bool:

@@ -9,7 +9,8 @@ first solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -94,13 +95,14 @@ class Network:
     admittance matrix. Each line is normalized on the voltage base of its
     end farther from the slack. `base_load_kw` is the (n, 2) array of
     (P_kw, Q_kvar) each bus consumes at load multiplier 1, summed over
-    its loads.
+    its loads. `no_injection` holds the solutions of solves without
+    injection by `(lam, v_slack_pu)`; `solve_power_flow` fills and reuses it.
     """
 
     path_impedance: np.ndarray
     admittance: np.ndarray
-    nonslack: np.ndarray
     base_load_kw: np.ndarray
+    no_injection: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def compile_network(feeder: Feeder) -> Network:
@@ -142,7 +144,6 @@ def compile_network(feeder: Feeder) -> Network:
     return Network(
         path_impedance=(path.T * z_pu) @ path,
         admittance=(incidence.T * y_pu) @ incidence,
-        nonslack=np.delete(np.arange(n), root),
         base_load_kw=base_load,
     )
 
@@ -159,8 +160,8 @@ def build_feeder(
     for b in buses:
         if b.id in index:
             raise FeederTopologyError(f"duplicate bus id {b.id!r}")
-        if b.base_kv <= 0:
-            raise ValueError(f"bus {b.id!r}: base_kv must be positive")
+        if not 0 < b.base_kv < math.inf:
+            raise ValueError(f"bus {b.id!r}: base_kv must be positive and finite")
         index[b.id] = len(index)
 
     slack = [i for i, b in enumerate(buses) if b.is_slack]
@@ -180,8 +181,11 @@ def build_feeder(
                 raise FeederTopologyError(f"line references unknown bus {end!r}")
         if ln.from_bus == ln.to_bus:
             raise FeederTopologyError(f"line {ln.from_bus!r}->{ln.to_bus!r} is a self-loop")
-        if ln.resistance_ohm < 0:
-            raise ValueError(f"line {ln.from_bus}->{ln.to_bus}: negative resistance")
+        if not 0 <= ln.resistance_ohm < math.inf or not math.isfinite(ln.reactance_ohm):
+            raise ValueError(
+                f"line {ln.from_bus}->{ln.to_bus}: resistance must be finite and >= 0, "
+                "reactance finite"
+            )
         if ln.resistance_ohm == 0 and ln.reactance_ohm == 0:
             raise ValueError(
                 f"line {ln.from_bus}->{ln.to_bus}: zero impedance (merge the buses instead)"
@@ -211,8 +215,10 @@ def build_feeder(
     for lp in loads:
         if lp.bus not in index:
             raise FeederTopologyError(f"load references unknown bus {lp.bus!r}")
-        if lp.p_base_kw < 0:
-            raise ValueError(f"load at bus {lp.bus}: p_base_kw must be >= 0")
+        if not 0 <= lp.p_base_kw < math.inf or not math.isfinite(lp.q_base_kvar):
+            raise ValueError(
+                f"load at bus {lp.bus}: p_base_kw must be finite and >= 0, q_base_kvar finite"
+            )
     seen_hub_bus: set[str] = set()
     for h in hubs:
         if h.bus not in index:
@@ -220,10 +226,10 @@ def build_feeder(
         if h.bus in seen_hub_bus:
             raise FeederTopologyError(f"duplicate hub at bus {h.bus!r}")
         seen_hub_bus.add(h.bus)
-        if h.p_max_kw <= 0 or h.q_max_kvar <= 0:
-            raise ValueError(f"hub at bus {h.bus}: rated limits must be positive")
-    if base_mva <= 0:
-        raise ValueError("base_mva must be positive")
+        if not (0 < h.p_max_kw < math.inf and 0 < h.q_max_kvar < math.inf):
+            raise ValueError(f"hub at bus {h.bus}: rated limits must be positive and finite")
+    if not 0 < base_mva < math.inf:
+        raise ValueError("base_mva must be positive and finite")
 
     return Feeder(
         buses=tuple(buses),

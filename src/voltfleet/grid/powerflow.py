@@ -10,6 +10,16 @@ bus are compiled once per feeder (`Feeder.network`), so a solve takes
 only the load multiplier and the hub injections, as arrays. Convergence
 is judged on the per-bus complex power mismatch, not on the voltage
 update, so a converged solution certifies power balance.
+
+A solve without injection depends only on the loading and the slack
+voltage, and evaluation repeats such solves: the days of a scenario
+share its 24 profile loadings, and uncontrolled hours, hours outside
+the V2G window and droop hours inside the deadband inject nothing. The
+network keeps those solutions (`Network.no_injection`, at most
+`NO_INJECTION_CAP`) and hands a repeat the same object, so every
+solution's `v_pu` and `angle_rad` are read-only. A tracer that wraps
+`solve_power_flow` counts a reused solution as a solve with its
+original `iterations`.
 """
 
 from __future__ import annotations
@@ -23,6 +33,8 @@ from .model import Feeder
 
 DEFAULT_TOLERANCE_PU = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
+# no-injection solutions kept per network; a day has 24 loadings
+NO_INJECTION_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -50,9 +62,13 @@ def solve_power_flow(
     Every bus consumes `lam` times its base load (`Network.base_load_kw`).
     `hub_pq` is an (H, 2) array of injected (P_kw, Q_kvar), one row per
     bus index in `hub_index`, positive injecting into the grid (reduces
-    net demand at the bus). `hub_index` without `hub_pq` injects nothing.
-    Non-convergence is reported via `converged=False`; voltages are then
-    the last iterate, never a stale earlier state.
+    net demand at the bus). `hub_index` without `hub_pq` injects nothing,
+    and neither does an all-zero `hub_pq`: such a solve is reused from the
+    feeder's network when the same `(lam, v_slack_pu)` was solved before
+    (same object, same bits, same `iterations`). The arrays of every
+    solution are read-only. Non-convergence is reported via
+    `converged=False`; voltages are then the last iterate, never a stale
+    earlier state.
     """
     if lam < 0:
         raise ValueError("load multiplier must be >= 0")
@@ -64,31 +80,40 @@ def solve_power_flow(
             raise ValueError(
                 f"hub_index has {len(hub_index)} buses but hub_pq has {len(hub_pq)} rows"
             )
-    n = len(feeder.buses)
     net = feeder.network
+    injects = hub_pq is not None and hub_pq.any()
+    if not injects:
+        key = (float(lam), float(v_slack_pu))
+        kept = net.no_injection.get(key)
+        if kept is not None:
+            return kept
+    n = len(feeder.buses)
     s_base_kw = feeder.base_mva * 1000.0
 
     # (P, Q) each bus consumes, in p.u. P and Q are divided as floats, not
     # as one complex (numpy multiplies that by the reciprocal), and load and
     # injection each before the subtraction, so every term is correctly
-    # rounded; a row of two float64 is then one complex128
+    # rounded; a row of two float64 is then one complex128. A zero
+    # injection changes at most the sign of a zero demand, which no
+    # result bit depends on, so it shares the no-injection solution
     pq = lam * net.base_load_kw / s_base_kw
     if hub_pq is not None:
         pq[hub_index] -= hub_pq / s_base_kw
     s_net = pq.view(np.complex128)[:, 0]
 
     root = feeder.slack_index
-    v_slack = complex(v_slack_pu, 0.0)
+    v_slack = np.complex128(v_slack_pu)
     v = np.full(n, v_slack)  # flat start, every solve
     mismatch = np.inf
     iterations = 0
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
-            v = v_slack - net.path_impedance @ np.conj(s_net / v)
+            v = v_slack - np.dot(net.path_impedance, np.conj(s_net / v))
             # power-balance residual at every non-slack bus: the lines
             # deliver -V conj(Y V) into each bus, which must meet its demand
-            s_err = v * np.conj(net.admittance @ v) + s_net
-            mismatch = float(np.abs(s_err[net.nonslack]).max(initial=0.0))
+            s_err = v * np.conj(np.dot(net.admittance, v)) + s_net
+            s_err[root] = 0.0
+            mismatch = float(np.maximum.reduce(np.abs(s_err)))
             if not math.isfinite(mismatch):
                 mismatch = np.inf
                 break
@@ -97,11 +122,18 @@ def solve_power_flow(
 
     converged = math.isfinite(mismatch) and mismatch <= DEFAULT_TOLERANCE_PU
     v[root] = v_slack  # slack pinned bit-for-bit
-    return PowerFlowSolution(
+    v_pu, angle_rad = np.abs(v), np.angle(v)
+    v_pu.flags.writeable = angle_rad.flags.writeable = False
+    sol = PowerFlowSolution(
         bus_ids=feeder.bus_ids,
-        v_pu=np.abs(v),
-        angle_rad=np.angle(v),
+        v_pu=v_pu,
+        angle_rad=angle_rad,
         converged=converged,
         iterations=iterations,
         max_mismatch_pu=mismatch,
     )
+    if not injects:
+        if len(net.no_injection) >= NO_INJECTION_CAP:
+            net.no_injection.clear()
+        net.no_injection[key] = sol
+    return sol

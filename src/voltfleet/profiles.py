@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .resources import profile_path
@@ -22,8 +23,13 @@ def load_profile(name_or_path: str | Path) -> tuple[float, ...]:
             raise ValueError(f"{path}:{lineno}: expected `hour,lambda`, got {raw!r}") from exc
     if sorted(values) != list(range(24)):
         raise ValueError(f"profile {name_or_path!r} must define hours 0..23 exactly")
-    lams = tuple(values[h] for h in range(24))
-    if any(l < 0 for l in lams):
-        raise ValueError("load multipliers must be >= 0")
+    return check_multipliers(tuple(values[h] for h in range(24)), f"profile {name_or_path!r}")
+
+
+def check_multipliers(lams: tuple[float, ...], where: str) -> tuple[float, ...]:
+    """`lams` when every one is finite and >= 0, else a ValueError naming `where`."""
+    bad = [l for l in lams if not 0.0 <= l < math.inf]
+    if bad:
+        raise ValueError(f"{where}: load multipliers must be finite and >= 0, got {bad[0]}")
     return lams
 

@@ -19,7 +19,7 @@ import numpy as np
 from .droop import DroopCurve
 from .fleet import FleetState, check_pack
 from .grid import Feeder, load_feeder_file
-from .profiles import load_profile
+from .profiles import check_multipliers, load_profile
 from .resources import feeder_path, scenario_path
 
 
@@ -163,6 +163,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         profile = values.pop("profile_values")
         if len(profile) != 24:
             raise ValueError(f"{path}: [scenario] profile_values needs 24 hourly multipliers")
+        check_multipliers(profile, f"{path}: [scenario] profile_values")
         profile_name = profile_name or "inline"
     elif profile_name:
         profile = load_profile(profile_name)

@@ -50,6 +50,10 @@ def test_invalid_curve_rejected():
         DroopCurve(deadband_pu=0.12)  # wider than the saturation band
     with pytest.raises(ValueError):
         DroopCurve(v_sat_low_pu=1.01)
+    with pytest.raises(ValueError, match="deadband"):
+        DroopCurve(v_sat_high_pu=1.01)  # the swell ramp would fall, not rise
+    with pytest.raises(ValueError, match="deadband"):
+        DroopCurve(v_sat_high_pu=1.02)  # the swell ramp would have no width
 
 
 def _solution(bus_ids, voltages):
@@ -97,11 +101,41 @@ def _piecewise(curve, v):
     return -min((v - hi_edge) / (curve.v_sat_high_pu - hi_edge), 1.0)
 
 
-def test_droop_output_on_an_array_has_the_bits_of_the_branches():
-    vs = np.concatenate([np.linspace(0.85, 1.15, 6001), [0.9, 0.98, 1.02, 1.1, 0.5, 2.0]])
-    outs = droop_output(CURVE, vs)
-    assert outs.shape == vs.shape
-    want = np.array([_piecewise(CURVE, float(v)) for v in vs])
+def _clipped_ramps(curve, v):
+    """The curve as one numpy expression over an array: sag ramp minus swell ramp."""
+    lo_edge = 1.0 - curve.deadband_pu
+    hi_edge = 1.0 + curve.deadband_pu
+    with np.errstate(over="ignore"):
+        sag = ((lo_edge - v) / (lo_edge - curve.v_sat_low_pu)).clip(0.0, 1.0)
+        swell = ((v - hi_edge) / (curve.v_sat_high_pu - hi_edge)).clip(0.0, 1.0)
+    return sag - swell
+
+
+def _edges(curve):
+    """Each breakpoint of the curve with its neighbouring floats."""
+    points = (1.0 - curve.deadband_pu, 1.0 + curve.deadband_pu, 1.0,
+              curve.v_sat_low_pu, curve.v_sat_high_pu)
+    return [x for p in points for x in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0))]
+
+
+@pytest.mark.parametrize("curve", [CURVE, DroopCurve(0.05, 0.85, 1.2), DroopCurve(0.001, 0.99, 1.002)])
+def test_droop_output_on_an_array_has_the_bits_of_the_branches(curve):
+    finite = np.concatenate([np.linspace(0.85, 1.15, 6001), _edges(curve),
+                             [0.9, 0.98, 1.02, 1.1, 0.5, 2.0, 5e-324, 1e308, np.inf]])
+    outs = droop_output(curve, finite)
+    assert outs.shape == finite.shape
+    want = np.array([_piecewise(curve, float(v)) for v in finite])
     assert outs.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="positive"):
-        droop_output(CURVE, np.array([1.0, 0.0]))
+    assert not np.signbit(outs[outs == 0.0]).any()  # every zero is +0.0
+    # NaN has no branch; the array expression's NaN, sign and payload kept
+    odd = np.concatenate([finite, [np.nan, -np.nan, np.float64(np.nan) * -1.5]]).reshape(-1, 4)
+    assert droop_output(curve, odd).tobytes() == _clipped_ramps(curve, odd).tobytes()
+    for v in odd.ravel()[-24:]:
+        one = droop_output(curve, float(v))
+        assert isinstance(one, float)
+        assert np.float64(one).tobytes() == _clipped_ramps(curve, v).tobytes()
+    for bad in (0.0, -0.0, -1.0, -np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            droop_output(curve, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="positive"):
+            droop_output(curve, bad)

@@ -74,6 +74,53 @@ def test_malformed_records_carry_line_numbers(text, lineno, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, lineno, field",
+    [
+        ("base_mva 2.5", "base_mva nan", 3, "base_mva"),
+        ("src   24.9  1", "src   inf  1", 5, "base_kv"),
+        ("src, load, 30.0, 20.0", "src, load, nan, 20.0", 8, "r_ohm"),
+        ("src, load, 30.0, 20.0", "src, load, 30.0, -inf", 8, "x_ohm"),
+        ("load  500  250", "load  inf  250", 10, "p_kw"),
+        ("load  500  250", "load  500  NaN", 10, "q_kvar"),
+        ("load  500  400", "load  nan  400", 12, "p_max_kw"),
+        ("load  500  400", "load  500  Infinity", 12, "q_max_kvar"),
+    ],
+)
+def test_non_finite_values_name_line_and_field(old, new, lineno, field):
+    assert old in GOOD
+    with pytest.raises(FeederFormatError, match=f"line {lineno}: {field}: expected a finite"):
+        load_feeder(GOOD.replace(old, new))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "buses, line, load, hub, base_mva",
+    [
+        ((24.9, 24.9), (NAN, 20.0), (500.0, 250.0), (500.0, 400.0), 1.0),
+        ((24.9, 24.9), (30.0, NAN), (500.0, 250.0), (500.0, 400.0), 1.0),
+        ((24.9, 24.9), (30.0, 20.0), (INF, 250.0), (500.0, 400.0), 1.0),
+        ((24.9, 24.9), (30.0, 20.0), (500.0, -INF), (500.0, 400.0), 1.0),
+        ((24.9, 24.9), (30.0, 20.0), (500.0, 250.0), (NAN, 400.0), 1.0),
+        ((24.9, 24.9), (30.0, 20.0), (500.0, 250.0), (500.0, INF), 1.0),
+        ((24.9, 24.9), (30.0, 20.0), (500.0, 250.0), (500.0, 400.0), NAN),
+        ((24.9, 24.9), (30.0, 20.0), (500.0, 250.0), (500.0, 400.0), INF),
+        ((NAN, 24.9), (30.0, 20.0), (500.0, 250.0), (500.0, 400.0), 1.0),
+    ],
+)
+def test_build_feeder_rejects_non_finite_values(buses, line, load, hub, base_mva):
+    with pytest.raises(ValueError, match="finite"):
+        build_feeder(
+            buses=[Bus("src", buses[0], is_slack=True), Bus("load", buses[1])],
+            lines=[Line("src", "load", *line)],
+            loads=[LoadPoint("load", *load)],
+            hubs=[Hub("load", *hub)],
+            base_mva=base_mva,
+        )
+
+
 def test_error_line_number_points_at_offender():
     text = "[buses]\na 1.0 1\nb 1.0 0\nbad-record\n"
     with pytest.raises(FeederFormatError) as err:

@@ -434,3 +434,28 @@ def test_shipped_days_match_their_pins(name):
         assert _sha256(hourly_csv(run)) == PINS["hourly_csv_sha256"][f"{name}/{label}"], label
         runs.append(run)
     assert _sha256(build_report(runs)) == PINS["report_sha256"][name]
+
+
+SHIPPED_SCENARIOS = ("five_bus_train", "single_hub_mild", "single_hub_aggressive",
+                     "multi_hub_mild", "multi_hub_aggressive")
+
+
+def _with_fixed_point(sc, fixed_point):
+    return dataclasses.replace(sc, droop=dataclasses.replace(sc.droop, fixed_point=fixed_point))
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+def test_days_on_a_warmed_feeder_match_days_on_a_fresh_one(name):
+    """The feeder keeps its no-injection solves across days; no record may show it."""
+    warmed = load_scenario(name)
+    for seed in (0, 3):
+        for controller, fixed_point in (("none", False), ("droop", False), ("droop", True)):
+            for ev in (False, True):
+                run = evaluate(_with_fixed_point(warmed, fixed_point), controller,
+                               ev_constrained=ev, seed=seed)
+                fresh = evaluate(_with_fixed_point(load_scenario(name), fixed_point),
+                                 controller, ev_constrained=ev, seed=seed)
+                # repr spells every float exactly, NaN included
+                assert repr(run.hours) == repr(fresh.hours), (seed, controller, fixed_point, ev)
+                assert repr(run.total_reward) == repr(fresh.total_reward)
+    assert warmed.feeder.network.no_injection

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import sweep_reference as ref
 import voltfleet.grid.model as model
+import voltfleet.grid.powerflow as powerflow
 from voltfleet.grid import (
     Bus,
     Hub,
@@ -135,6 +137,53 @@ def test_compiled_solve_matches_loop_sweep(case):
         assert np.max(np.abs(_phasors(got) - _phasors(want))) <= 1e-12
 
 
+def _same_solution(a, b):
+    return (
+        (a.converged, a.iterations, a.max_mismatch_pu) == (b.converged, b.iterations, b.max_mismatch_pu)
+        and a.v_pu.tobytes() == b.v_pu.tobytes()
+        and a.angle_rad.tobytes() == b.angle_rad.tobytes()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_cases, st.booleans(), st.sampled_from((1.0, 0.97, 1.05)))
+def test_no_injection_solves_reused_with_the_bits_of_a_fresh_solve(case, capacitive, v_slack):
+    feeder, lam, injections = case
+    if capacitive:  # at lam 0 a negative Q demand is -0.0; a -0.0 injection makes it +0.0
+        feeder = dataclasses.replace(feeder, loads=tuple(
+            LoadPoint(lp.bus, lp.p_base_kw, -lp.q_base_kvar) for lp in feeder.loads))
+    hub_index, _ = injection_arrays(feeder, injections)
+    zero = np.zeros((len(hub_index), 2))
+    zero[::2] = -0.0
+    for v_s in (v_slack, 1.0):
+        for index, pq in ((None, None), (hub_index, zero), (hub_index, None), (None, None)):
+            got = solve_power_flow(feeder, lam, index, pq, v_slack_pu=v_s)
+            fresh = solve_power_flow(dataclasses.replace(feeder), lam, index, pq, v_slack_pu=v_s)
+            assert _same_solution(got, fresh)
+
+
+def test_no_injection_solution_is_shared_and_read_only():
+    feeder = load_feeder_file(feeder_path("ieee34_equiv"))
+    hub_index = np.array([feeder.bus_index(h.bus) for h in feeder.hubs])
+    first = solve_power_flow(feeder, 1.3)
+    assert solve_power_flow(feeder, 1.3) is first
+    assert solve_power_flow(feeder, 1.3, hub_index, np.zeros((len(hub_index), 2))) is first
+    assert solve_power_flow(feeder, 1.3, v_slack_pu=1.02) is not first
+    injected = np.full((len(hub_index), 2), 50.0)
+    once = solve_power_flow(feeder, 1.3, hub_index, injected)
+    again = solve_power_flow(feeder, 1.3, hub_index, injected)
+    assert once is not again and _same_solution(once, again)
+    for sol in (first, once):
+        for arr in (sol.v_pu, sol.angle_rad):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+    assert _same_solution(first, solve_power_flow(dataclasses.replace(feeder), 1.3))
+    kept = feeder.network.no_injection
+    for k in range(3 * powerflow.NO_INJECTION_CAP):
+        solve_power_flow(feeder, 0.5 + k / 100)
+        assert 0 < len(kept) <= powerflow.NO_INJECTION_CAP
+
+
 def test_random_cases_reach_past_the_nose():
     rng = np.random.default_rng(11)
     outcomes = []
@@ -164,7 +213,8 @@ def test_compiled_matrices(seed):
     net = feeder.network
     np.testing.assert_allclose(net.admittance, _ybus(feeder), rtol=1e-12, atol=0.0)
     # with the slack grounded, the path-impedance block inverts the admittance block
-    ns = np.ix_(net.nonslack, net.nonslack)
+    nonslack = np.delete(np.arange(12), feeder.slack_index)
+    ns = np.ix_(nonslack, nonslack)
     np.testing.assert_allclose(
         net.path_impedance[ns] @ net.admittance[ns], np.eye(11), atol=1e-9
     )

@@ -59,6 +59,15 @@ def test_profile_negative_rejected(tmp_path):
         load_profile(p)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_profile_non_finite_rejected(tmp_path, bad):
+    rows = ["hour,lambda"] + [f"{h},1.0" for h in range(23)] + [f"23,{bad}"]
+    p = tmp_path / "odd.csv"
+    p.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="odd.csv.*finite"):
+        load_profile(p)
+
+
 def test_profile_row_with_extra_field_names_file_and_line(tmp_path):
     rows = ["hour,lambda"] + [f"{h},1.0" for h in range(24)]
     rows[6] = "5,1.0,0.3"
@@ -145,6 +154,11 @@ def test_inline_profile_values(tmp_path):
         (
             "[scenario]\nfeeder = two_bus\nprofile_values = 1.0 1.0\n",
             "profile_values",
+        ),
+        *(
+            ("[scenario]\nfeeder = two_bus\nprofile_values = " + " ".join(["1.0"] * 23 + [bad]),
+             r"case\.ini: \[scenario\] profile_values: load multipliers must be finite")
+            for bad in ("nan", "-0.5", "inf")
         ),
         (BASE_INI + "[fleet]\navailability = 0.5 0.5 0.5\n", "availability"),
         (BASE_INI + "[fleet]\navailability = 1.5\n", "availability"),
