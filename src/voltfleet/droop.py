@@ -43,6 +43,20 @@ def _unit(x: float) -> float:
     return 0.0 if x <= 0.0 else 1.0 if x > 1.0 else x
 
 
+def _outputs(curve: DroopCurve, voltages: list[float]) -> list[float]:
+    """The curve at each voltage, as Python floats with the array expression's bits."""
+    lo_edge = 1.0 - curve.deadband_pu
+    hi_edge = 1.0 + curve.deadband_pu
+    sag_span = lo_edge - curve.v_sat_low_pu
+    swell_span = curve.v_sat_high_pu - hi_edge
+    out = []
+    for x in voltages:
+        if x <= 0:
+            raise ValueError("voltage must be positive")
+        out.append(_unit((lo_edge - x) / sag_span) - _unit((x - hi_edge) / swell_span))
+    return out
+
+
 def droop_output(curve: DroopCurve, v_pu):
     """Normalized output in [-1, 1] for each measured voltage.
 
@@ -51,16 +65,8 @@ def droop_output(curve: DroopCurve, v_pu):
     The few hub voltages are mapped as Python floats, which costs less
     than the numpy calls of the array expression and gives its bits.
     """
-    lo_edge = 1.0 - curve.deadband_pu
-    hi_edge = 1.0 + curve.deadband_pu
-    sag_span = lo_edge - curve.v_sat_low_pu
-    swell_span = curve.v_sat_high_pu - hi_edge
     v = np.asarray(v_pu, dtype=float)
-    out = []
-    for x in v.ravel().tolist():
-        if x <= 0:
-            raise ValueError("voltage must be positive")
-        out.append(_unit((lo_edge - x) / sag_span) - _unit((x - hi_edge) / swell_span))
+    out = _outputs(curve, v.ravel().tolist())
     return out[0] if v.ndim == 0 else np.array(out).reshape(v.shape)
 
 
@@ -75,5 +81,5 @@ def droop_control(
     `hub_index` gives each hub's bus index, `ratings` its (p_max_kw,
     q_max_kvar).
     """
-    out = droop_output(curve or DroopCurve(), solution.v_pu[hub_index])
-    return out[:, None] * ratings
+    out = _outputs(curve or DroopCurve(), solution.v_pu[hub_index].tolist())
+    return np.array(out)[:, None] * ratings

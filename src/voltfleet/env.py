@@ -38,8 +38,8 @@ _MAX_RESAMPLES = 1000
 def reward_from_voltages(v_pu: np.ndarray) -> float:
     """Flat bonus when every bus is in band, else the summed band distance."""
     v = np.asarray(v_pu, dtype=float)
-    under = np.clip(V_LOW_PU - v, 0.0, None)
-    over = np.clip(v - V_HIGH_PU, 0.0, None)
+    under = np.maximum(V_LOW_PU - v, 0.0)
+    over = np.maximum(v - V_HIGH_PU, 0.0)
     total = under.sum() + over.sum()
     if total == 0.0:
         return IN_BAND_BONUS
@@ -206,11 +206,11 @@ class V2GEnv:
         a = np.asarray(action, dtype=float).reshape(-1)
         if a.shape != (self.action_size,):
             raise ValueError(f"action must have {self.action_size} components")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("action components must be finite")
-        n_clamped = int(np.sum((a < -1.0) | (a > 1.0)))
+        n_clamped = int(np.count_nonzero((a < -1.0) | (a > 1.0)))
         self.clamp_events += n_clamped
-        a = np.clip(a, -1.0, 1.0)
+        a = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip's values, without its dispatch
 
         active = self._window_open()
         delivered = action_to_setpoints(a, self.ratings, active)

@@ -20,6 +20,12 @@ network keeps those solutions (`Network.no_injection`, at most
 solution's `v_pu` and `angle_rad` are read-only. A tracer that wraps
 `solve_power_flow` counts a reused solution as a solve with its
 original `iterations`.
+
+A solve that injects can start from an earlier converged solution of the
+same feeder instead of the flat profile (`start`); the fixed-point droop
+iterates this way, each solve from the one before. A warm start changes
+an iterate's path, so its result matches the flat start's to the
+tolerance, not to the bit.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ def solve_power_flow(
     hub_index: np.ndarray | None = None,
     hub_pq: np.ndarray | None = None,
     v_slack_pu: float = 1.0,
+    start: PowerFlowSolution | None = None,
 ) -> PowerFlowSolution:
     """Backward/forward sweep solve at load multiplier `lam` >= 0.
 
@@ -69,9 +76,19 @@ def solve_power_flow(
     solution are read-only. Non-convergence is reported via
     `converged=False`; voltages are then the last iterate, never a stale
     earlier state.
+
+    `start`, a solution of the same feeder (else `ValueError`), is the
+    first iterate of a solve that injects, when it converged. It is
+    ignored on a solve without injection, so the reused solutions never
+    depend on which solve came before, and when it did not converge. A
+    warm-started solve stops on the same mismatch test as a flat one.
     """
-    if lam < 0:
-        raise ValueError("load multiplier must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"load multiplier must be finite and >= 0, got {lam!r}")
+    if not 0.0 < v_slack_pu < math.inf:
+        raise ValueError(f"slack voltage must be finite and > 0 pu, got {v_slack_pu!r}")
+    if start is not None and start.bus_ids != feeder.bus_ids:
+        raise ValueError("start is a solution of another feeder")
     if hub_pq is not None:
         # pq[None] would broadcast the injection onto every bus
         if hub_index is None:
@@ -81,7 +98,7 @@ def solve_power_flow(
                 f"hub_index has {len(hub_index)} buses but hub_pq has {len(hub_pq)} rows"
             )
     net = feeder.network
-    injects = hub_pq is not None and hub_pq.any()
+    injects = hub_pq is not None and np.count_nonzero(hub_pq)
     if not injects:
         key = (float(lam), float(v_slack_pu))
         kept = net.no_injection.get(key)
@@ -103,7 +120,11 @@ def solve_power_flow(
 
     root = feeder.slack_index
     v_slack = np.complex128(v_slack_pu)
-    v = np.full(n, v_slack)  # flat start, every solve
+    if injects and start is not None and start.converged:
+        v = start.v_pu * np.exp(1j * start.angle_rad)
+    else:
+        v = np.empty(n, np.complex128)
+        v.fill(v_slack)  # flat start
     mismatch = np.inf
     iterations = 0
     with np.errstate(all="ignore"):  # divergence handled via the finite check
@@ -122,7 +143,7 @@ def solve_power_flow(
 
     converged = math.isfinite(mismatch) and mismatch <= DEFAULT_TOLERANCE_PU
     v[root] = v_slack  # slack pinned bit-for-bit
-    v_pu, angle_rad = np.abs(v), np.angle(v)
+    v_pu, angle_rad = np.abs(v), np.arctan2(v.imag, v.real)
     v_pu.flags.writeable = angle_rad.flags.writeable = False
     sol = PowerFlowSolution(
         bus_ids=feeder.bus_ids,

@@ -60,16 +60,20 @@ def _droop_action(env: V2GEnv, scenario: Scenario) -> np.ndarray:
     With fixed_point enabled the hub response is iterated against the grid
     until the voltages it was computed from stop moving, so the setpoint
     handed to the environment reproduces itself under the final solve.
+    Each of those solves is warm-started: the first from the observed
+    solve at the hour's loading, each later one from the iterate before.
     """
     curve = scenario.droop
-    setpoints = droop_control(env.current_solution, env.hub_index, env.ratings, curve)
+    prev = env.current_solution
+    setpoints = droop_control(prev, env.hub_index, env.ratings, curve)
     if curve.fixed_point:
         # damped iteration: the raw response map oscillates on stiff feeders
         for _ in range(_FP_MAX_ITERS):
             nxt = solve_power_flow(env.config.feeder, env.current_lambda,
-                                   env.hub_index, setpoints)
+                                   env.hub_index, setpoints, start=prev)
             if not nxt.converged:
                 break
+            prev = nxt
             target = droop_control(nxt, env.hub_index, env.ratings, curve)
             if np.abs(target - setpoints).max() < _FP_TOL_KW:
                 setpoints = target
@@ -85,7 +89,8 @@ def _fleet_snapshot(env: V2GEnv, hour: int) -> tuple[float | None, int]:
     socs, count = [], 0
     for fleet in env.fleets:
         if fleet.soc.size:
-            socs.append(float(np.mean(fleet.soc)) * fleet.soc.size)
+            # np.mean's own arithmetic, without its dispatch
+            socs.append(float(np.add.reduce(fleet.soc) / fleet.soc.size) * fleet.soc.size)
         count += available_count(fleet, hour)
     total_evs = sum(f.soc.size for f in env.fleets)
     return (sum(socs) / total_evs if total_evs else None), count
@@ -145,16 +150,21 @@ def evaluate(
         soc, n_ev = _fleet_snapshot(env, hour)
         res = env.step(act(obs))
         info = res.info
-        sol = info["solution"]
+        v_mean = v_min = v_max = float("nan")
+        if info["converged"]:
+            # the reductions np.mean, min and max run, without their dispatch
+            v = info["solution"].v_pu
+            v_mean = float(np.add.reduce(v) / v.size)
+            v_min, v_max = float(np.minimum.reduce(v)), float(np.maximum.reduce(v))
         records.append(
             HourRecord(
                 hour=hour,
                 lam=info["lambda"],
                 converged=info["converged"],
                 obs_converged=info["obs_converged"],
-                v_mean=float(sol.v_pu.mean()) if info["converged"] else float("nan"),
-                v_min=float(sol.v_pu.min()) if info["converged"] else float("nan"),
-                v_max=float(sol.v_pu.max()) if info["converged"] else float("nan"),
+                v_mean=v_mean,
+                v_min=v_min,
+                v_max=v_max,
                 reward=res.reward,
                 hub_p_kw={b: pq[0] for b, pq in info["delivered"].items()},
                 hub_q_kvar={b: pq[1] for b, pq in info["delivered"].items()},

@@ -44,21 +44,14 @@ def hourly_csv(run: RunResult) -> str:
         header += [f"{bus}_p_kw", f"{bus}_q_kvar", f"{bus}_rho"]
     header += ["soc_mean", "ev_count"]
     lines = [",".join(header)]
+    # one format call per row; each float field renders as _fmt renders a float
+    row = "{},{:.6f},{:.6f},{:.6f}" + ",{:.3f},{:.3f},{:.6f}" * len(hub_order) + ",{},{}"
     for rec in run.hours:
-        row = [
-            str(rec.hour),
-            _fmt(rec.v_mean),
-            _fmt(rec.v_min),
-            _fmt(rec.v_max),
-        ]
+        cells = [rec.hour, rec.v_mean, rec.v_min, rec.v_max]
         for bus in hub_order:
-            row += [
-                _fmt(rec.hub_p_kw[bus], ".3f"),
-                _fmt(rec.hub_q_kvar[bus], ".3f"),
-                _fmt(rec.hub_rho[bus]),
-            ]
-        row += [_fmt(rec.soc_mean), str(rec.ev_count)]
-        lines.append(",".join(row))
+            cells += (rec.hub_p_kw[bus], rec.hub_q_kvar[bus], rec.hub_rho[bus])
+        cells += (_fmt(rec.soc_mean), rec.ev_count)
+        lines.append(row.format(*cells))
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,9 @@ class TrainResult:
 
 
 def episode_return(env, agent: SacAgent | None, rng=None, deterministic=True) -> float:
-    """Total reward over one episode; agent=None plays uniform random actions."""
+    """Total reward over one episode; agent=None plays uniform random actions from `rng`."""
+    if agent is None and rng is None:
+        raise ValueError("random play (agent=None) needs an rng")
     obs = env.reset()
     total = 0.0
     done = False

@@ -15,7 +15,7 @@ import voltfleet.fleet as fleet_module
 from voltfleet.droop import DroopCurve, droop_control
 from voltfleet.grid import solve_power_flow
 from voltfleet.harness.cli import main
-from voltfleet.harness.evaluate import HourRecord, _droop_action, evaluate
+from voltfleet.harness.evaluate import _FP_TOL_KW, HourRecord, _droop_action, evaluate
 from voltfleet.harness.metrics import compute_metrics
 from voltfleet.harness.report import build_report, hourly_csv, run_filename, write_report
 from voltfleet.env import V2GEnv, config_from_scenario
@@ -459,3 +459,55 @@ def test_days_on_a_warmed_feeder_match_days_on_a_fresh_one(name):
                 assert repr(run.hours) == repr(fresh.hours), (seed, controller, fixed_point, ev)
                 assert repr(run.total_reward) == repr(fresh.total_reward)
     assert warmed.feeder.network.no_injection
+
+
+def _fp_figures(run):
+    """The figures of a fixed-point day that `PINS["droop_fp"]` holds."""
+    m = run.metrics
+    return {
+        "v_mean": m.v_mean, "v_min": m.v_min, "v_max": m.v_max,
+        "violation_hours": m.violation_hours, "nonconverged_hours": m.nonconverged_hours,
+        "total_reward": run.total_reward,
+        "hour_v_min": [h.v_min for h in run.hours],
+        "hour_hub_p_kw": [sum(h.hub_p_kw.values()) for h in run.hours],
+        "hour_hub_q_kvar": [sum(h.hub_q_kvar.values()) for h in run.hours],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINS["droop_fp"]))
+def test_fixed_point_days_match_their_pinned_figures(name):
+    """Fixed-point figures move only in their last bits, so they are held to tolerances."""
+    run = evaluate(_with_fixed_point(load_scenario(name), True), "droop")
+    got, tol = _fp_figures(run), PINS["droop_fp_tolerance"]
+    assert set(got) == set(PINS["droop_fp"][name])
+    for field, want in PINS["droop_fp"][name].items():
+        if field.endswith("_hours"):
+            assert got[field] == want, field
+            continue
+        if field == "total_reward":
+            atol = tol["reward"]
+        elif "kw" in field or "kvar" in field:
+            atol = tol["kw"]
+        else:
+            atol = tol["v_pu"]
+        np.testing.assert_allclose(got[field], want, rtol=0.0, atol=atol, err_msg=field)
+
+
+@pytest.mark.parametrize("name", sorted(PINS["droop_fp"]))
+def test_fixed_point_setpoints_reproduce_themselves(name):
+    """Every hour's final setpoint s meets |droop(solve(s)) - s| <= _FP_TOL_KW."""
+    sc = _with_fixed_point(load_scenario(name), True)
+    env = V2GEnv(config_from_scenario(sc, mode="eval"), seed=sc.seed)
+    env.reset()
+    injecting = 0
+    done = False
+    while not done:
+        action = _droop_action(env, sc)
+        s = action.reshape(-1, 2) * env.ratings
+        sol = solve_power_flow(sc.feeder, env.current_lambda, env.hub_index, s)
+        assert sol.converged
+        residual = np.abs(droop_control(sol, env.hub_index, env.ratings, sc.droop) - s).max()
+        assert residual <= _FP_TOL_KW, (env.current_hour, residual)
+        injecting += bool(s.any())
+        done = env.step(action).done
+    assert injecting > 0

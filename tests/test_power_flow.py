@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,92 @@ def test_no_injection_solution_is_shared_and_read_only():
     for k in range(3 * powerflow.NO_INJECTION_CAP):
         solve_power_flow(feeder, 0.5 + k / 100)
         assert 0 < len(kept) <= powerflow.NO_INJECTION_CAP
+
+
+SHIPPED_FEEDERS = ("two_bus", "five_bus_train", "ieee34_equiv")
+
+
+def shipped_case(name, seed, lam):
+    """A freshly loaded shipped feeder with hub setpoints drawn inside the ratings."""
+    feeder = load_feeder_file(feeder_path(name))
+    rng = np.random.default_rng(seed)
+    injections = {
+        h.bus: tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=2) * (h.p_max_kw, h.q_max_kvar))
+        for h in feeder.hubs
+    }
+    return feeder, lam, injections
+
+
+any_cases = st.one_of(
+    random_cases,
+    st.builds(shipped_case, st.sampled_from(SHIPPED_FEEDERS), st.integers(0, 2**32 - 1),
+              st.floats(0.0, 4.0)),
+)
+
+
+def _other_feeder_solution(feeder):
+    """A converged solution whose bus ids are not the feeder's."""
+    other = two_bus()
+    sol = solve_power_flow(other, 1.0)
+    if sol.bus_ids == feeder.bus_ids:
+        sol = solve_power_flow(load_feeder_file(feeder_path("ieee34_equiv")), 1.0)
+    return sol
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_cases, st.floats(0.0, 4.0), st.floats(-1.0, 1.0))
+def test_start_is_ignored_on_a_solve_without_injection(case, start_lam, scale):
+    """The kept no-injection solution never depends on the solve before it."""
+    feeder, lam, injections = case
+    assume(injections)
+    hub_index, hub_pq = injection_arrays(feeder, injections)
+    start = solve_power_flow(feeder, start_lam, hub_index, scale * hub_pq)
+    with pytest.raises(ValueError, match="another feeder"):
+        solve_power_flow(feeder, lam, start=_other_feeder_solution(feeder))
+    for index, pq in ((None, None), (hub_index, np.zeros_like(hub_pq))):
+        got = solve_power_flow(feeder, lam, index, pq, start=start)
+        assert _same_solution(got, solve_power_flow(dataclasses.replace(feeder), lam))
+    assert feeder.network.no_injection[(float(lam), 1.0)] is got
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_cases, st.floats(0.0, 4.0), st.floats(-1.0, 1.0))
+def test_warm_start_from_a_converged_solution_only(case, start_lam, scale):
+    """A converged start certifies the same balance; any other start is ignored."""
+    feeder, lam, injections = case
+    assume(injections)
+    hub_index, hub_pq = injection_arrays(feeder, injections)
+    flat = solve_power_flow(feeder, lam, hub_index, hub_pq)
+    with pytest.raises(ValueError, match="another feeder"):
+        solve_power_flow(feeder, lam, hub_index, hub_pq, start=_other_feeder_solution(feeder))
+    start = solve_power_flow(feeder, start_lam, hub_index, scale * hub_pq)
+    # a start that did not converge, real or relabelled, gives the flat solve's bits
+    failed = dataclasses.replace(start, converged=False) if start.converged else start
+    assert _same_solution(solve_power_flow(feeder, lam, hub_index, hub_pq, start=failed), flat)
+    if start.converged:
+        warm = solve_power_flow(feeder, lam, hub_index, hub_pq, start=start)
+        if warm.converged:
+            assert warm.max_mismatch_pu <= powerflow.DEFAULT_TOLERANCE_PU
+        if warm.converged and flat.converged:
+            assert np.max(np.abs(_phasors(warm) - _phasors(flat))) <= 1e-6
+
+
+@pytest.mark.parametrize("lam, v_slack, match", [
+    (math.nan, 1.0, "load multiplier"),
+    (math.inf, 1.0, "load multiplier"),
+    (-0.1, 1.0, "load multiplier"),
+    (1.0, -1.0, "slack voltage"),
+    (1.0, 0.0, "slack voltage"),
+    (1.0, math.nan, "slack voltage"),
+    (1.0, math.inf, "slack voltage"),
+])
+def test_non_finite_loading_and_bad_slack_voltage_rejected(lam, v_slack, match):
+    feeder = two_bus()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any arithmetic on them
+        with pytest.raises(ValueError, match=match):
+            solve_power_flow(feeder, lam, v_slack_pu=v_slack)
+    assert not feeder.network.no_injection
 
 
 def test_random_cases_reach_past_the_nose():

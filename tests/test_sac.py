@@ -408,3 +408,8 @@ def test_episode_return_random_vs_uncontrolled(five_bus_env):
     rng = np.random.default_rng(0)
     r = episode_return(five_bus_env, None, rng=rng)
     assert np.isfinite(r)
+
+
+def test_episode_return_random_play_needs_an_rng(five_bus_env):
+    with pytest.raises(ValueError, match="random play .* needs an rng"):
+        episode_return(five_bus_env, None)
