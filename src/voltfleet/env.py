@@ -18,6 +18,7 @@ the delivered (P, Q), for the records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -84,6 +85,15 @@ class EnvConfig:
             raise ValueError(f"hub buses not on feeder: {missing}")
         if not self.hub_buses:
             raise ValueError("need at least one active hub")
+        if self.episode_len < 1:
+            raise ValueError("episode_len must be >= 1")
+        lo, hi = self.lambda_range
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError("lambda_range needs 0 <= lo <= hi < inf")
+        if len(self.v2g_window) != 2 or not 0 <= self.v2g_window[0] < self.v2g_window[1] <= 24:
+            raise ValueError("v2g_window wants two hours: 0 <= start < end <= 24")
+        if not math.isfinite(self.nonconvergence_penalty):
+            raise ValueError("nonconvergence_penalty must be finite")
 
 
 def config_from_scenario(

@@ -1,8 +1,11 @@
 """Feeder file parsing.
 
 Format: line-oriented sections `[buses]`, `[lines]`, `[loads]`, `[hubs]`,
-optional `[system]`. Fields whitespace- or comma-separated, `#` starts a
-comment. Example::
+optional `[system]` with one `base_mva` line (default 1.0). Fields are
+whitespace- or comma-separated, `#` starts a comment, section names ignore
+case. The table `_RECORDS` is the format's single definition: each record
+section's fields, in column order, with their error labels and conversions.
+Slack flags read 1/true/yes or 0/false/no. Example::
 
     [system]
     base_mva 1.0
@@ -25,17 +28,16 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import NoReturn
 
 from .model import Bus, Feeder, Hub, Line, LoadPoint, build_feeder
-
-_SECTIONS = ("system", "buses", "lines", "loads", "hubs")
 
 
 class FeederFormatError(ValueError):
     """Malformed feeder file; message carries the offending line number."""
 
 
-def _fail(lineno: int, msg: str) -> None:
+def _fail(lineno: int, msg: str) -> NoReturn:
     raise FeederFormatError(f"line {lineno}: {msg}")
 
 
@@ -59,17 +61,28 @@ def _flag(tok: str, lineno: int, what: str) -> bool:
         return True
     if low in ("0", "false", "no"):
         return False
-    _fail(lineno, f"{what}: expected a 0/1 flag, got {tok!r}")
-    raise AssertionError
+    _fail(lineno, f"{what} flag: expected a 0/1 flag, got {tok!r}")
+
+
+# The format's single definition: each record section, in `build_feeder`'s
+# order, with its record class, its name in errors and its fields in column
+# order (the class's field order) as (error label, conversion). A field without
+# a conversion is a bus id and stays a string.
+_RECORDS = {
+    "buses": (Bus, "bus", (("id", None), ("base_kv", _number), ("slack", _flag))),
+    "lines": (Line, "line", (("from", None), ("to", None), ("r_ohm", _number),
+                             ("x_ohm", _number))),
+    "loads": (LoadPoint, "load", (("bus", None), ("p_kw", _number), ("q_kvar", _number))),
+    "hubs": (Hub, "hub", (("bus", None), ("p_max_kw", _number), ("q_max_kvar", _number))),
+}
+_SECTIONS = ("system", *_RECORDS)
 
 
 def load_feeder(text: str) -> Feeder:
     """Parse feeder-file contents into a validated Feeder."""
-    buses: list[Bus] = []
-    lines: list[Line] = []
-    loads: list[LoadPoint] = []
-    hubs: list[Hub] = []
+    records: dict[str, list] = {name: [] for name in _RECORDS}
     base_mva = 1.0
+    base_mva_line = 0
 
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -83,6 +96,11 @@ def load_feeder(text: str) -> Feeder:
             if name not in _SECTIONS:
                 _fail(lineno, f"unknown section [{name}]")
             section = name
+            if name in _RECORDS:
+                cls, record, fields = _RECORDS[name]
+                out = records[name]
+                converted = [(i, label, convert)
+                             for i, (label, convert) in enumerate(fields) if convert]
             continue
         if section is None:
             _fail(lineno, "record before any section header")
@@ -91,50 +109,19 @@ def load_feeder(text: str) -> Feeder:
         if section == "system":
             if len(toks) != 2 or toks[0].lower() != "base_mva":
                 _fail(lineno, "expected: base_mva <value>")
+            if base_mva_line:
+                _fail(lineno, f"base_mva given twice (first on line {base_mva_line})")
             base_mva = _number(toks[1], lineno, "base_mva")
-        elif section == "buses":
-            if len(toks) != 3:
-                _fail(lineno, f"bus record needs 3 fields (id base_kv slack), got {len(toks)}")
-            buses.append(
-                Bus(
-                    id=toks[0],
-                    base_kv=_number(toks[1], lineno, "base_kv"),
-                    is_slack=_flag(toks[2], lineno, "slack flag"),
-                )
-            )
-        elif section == "lines":
-            if len(toks) != 4:
-                _fail(lineno, f"line record needs 4 fields (from to r_ohm x_ohm), got {len(toks)}")
-            lines.append(
-                Line(
-                    from_bus=toks[0],
-                    to_bus=toks[1],
-                    resistance_ohm=_number(toks[2], lineno, "r_ohm"),
-                    reactance_ohm=_number(toks[3], lineno, "x_ohm"),
-                )
-            )
-        elif section == "loads":
-            if len(toks) != 3:
-                _fail(lineno, f"load record needs 3 fields (bus p_kw q_kvar), got {len(toks)}")
-            loads.append(
-                LoadPoint(
-                    bus=toks[0],
-                    p_base_kw=_number(toks[1], lineno, "p_kw"),
-                    q_base_kvar=_number(toks[2], lineno, "q_kvar"),
-                )
-            )
-        elif section == "hubs":
-            if len(toks) != 3:
-                _fail(lineno, f"hub record needs 3 fields (bus p_max_kw q_max_kvar), got {len(toks)}")
-            hubs.append(
-                Hub(
-                    bus=toks[0],
-                    p_max_kw=_number(toks[1], lineno, "p_max_kw"),
-                    q_max_kvar=_number(toks[2], lineno, "q_max_kvar"),
-                )
-            )
+            base_mva_line = lineno
+            continue
+        if len(toks) != len(fields):
+            labels = " ".join(label for label, _ in fields)
+            _fail(lineno, f"{record} record needs {len(fields)} fields ({labels}), got {len(toks)}")
+        for i, label, convert in converted:
+            toks[i] = convert(toks[i], lineno, label)
+        out.append(cls(*toks))
 
-    return build_feeder(buses, lines, loads, hubs, base_mva=base_mva)
+    return build_feeder(*records.values(), base_mva=base_mva)
 
 
 def load_feeder_file(path: str | Path) -> Feeder:

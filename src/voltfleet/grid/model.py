@@ -105,39 +105,45 @@ class Network:
     no_injection: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+def _walk(n: int, ends: list[tuple[int, int]], root: int):
+    """Yield (bus, parent, line) for each bus the lines reach from `root`, root
+    excluded, breadth first so each bus follows its parent. `ends[k]` holds
+    the bus indices of line k."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(ends):
+        adjacency[a].append((b, k))
+        adjacency[b].append((a, k))
+    seen = [False] * n
+    seen[root] = True
+    queue = [root]
+    for u in queue:
+        for v, k in adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+                yield v, u, k
+
+
 def compile_network(feeder: Feeder) -> Network:
     """Both matrices from one breadth-first pass over the tree, and the base load."""
     n = len(feeder.buses)
-    adjacency: list[list[tuple[int, complex]]] = [[] for _ in range(n)]
-    for ln in feeder.lines:
-        a = feeder.bus_index(ln.from_bus)
-        b = feeder.bus_index(ln.to_bus)
-        z = complex(ln.resistance_ohm, ln.reactance_ohm)
-        adjacency[a].append((b, z))
-        adjacency[b].append((a, z))
-
+    ends = [(feeder.bus_index(ln.from_bus), feeder.bus_index(ln.to_bus)) for ln in feeder.lines]
     # Row e of each matrix is the line feeding bus e (none for the slack).
     # path[e, i] = 1 when that line lies on the path from the slack to bus i
     # (Teng's BIBC); incidence[e] is +1 at bus e and -1 at its parent.
-    root = feeder.slack_index
     path = np.zeros((n, n))
     incidence = np.zeros((n, n))
     z_pu = np.zeros(n, dtype=np.complex128)
     y_pu = np.zeros(n, dtype=np.complex128)
-    seen = [False] * n
-    seen[root] = True
-    queue = [root]
-    for u in queue:  # a bus is reached after its parent
-        for v, z_ohm in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                z_pu[v] = z_ohm / (feeder.buses[v].base_kv ** 2 / feeder.base_mva)
-                y_pu[v] = 1.0 / z_pu[v]
-                path[:, v] = path[:, u]
-                path[v, v] = 1.0
-                incidence[v, v] = 1.0
-                incidence[v, u] = -1.0
-                queue.append(v)
+    for v, u, k in _walk(n, ends, feeder.slack_index):
+        ln = feeder.lines[k]
+        z_ohm = complex(ln.resistance_ohm, ln.reactance_ohm)
+        z_pu[v] = z_ohm / (feeder.buses[v].base_kv ** 2 / feeder.base_mva)
+        y_pu[v] = 1.0 / z_pu[v]
+        path[:, v] = path[:, u]
+        path[v, v] = 1.0
+        incidence[v, v] = 1.0
+        incidence[v, u] = -1.0
     base_load = np.zeros((n, 2))
     for lp in feeder.loads:
         base_load[feeder.bus_index(lp.bus)] += (lp.p_base_kw, lp.q_base_kvar)
@@ -175,11 +181,13 @@ def build_feeder(
         raise FeederTopologyError(
             f"{n} buses require {n - 1} lines for a tree, found {len(lines)}"
         )
+    ends = []
     for ln in lines:
-        for end in (ln.from_bus, ln.to_bus):
-            if end not in index:
-                raise FeederTopologyError(f"line references unknown bus {end!r}")
-        if ln.from_bus == ln.to_bus:
+        a, b = index.get(ln.from_bus), index.get(ln.to_bus)
+        if a is None or b is None:
+            end = ln.from_bus if a is None else ln.to_bus
+            raise FeederTopologyError(f"line references unknown bus {end!r}")
+        if a == b:
             raise FeederTopologyError(f"line {ln.from_bus!r}->{ln.to_bus!r} is a self-loop")
         if not 0 <= ln.resistance_ohm < math.inf or not math.isfinite(ln.reactance_ohm):
             raise ValueError(
@@ -190,24 +198,13 @@ def build_feeder(
             raise ValueError(
                 f"line {ln.from_bus}->{ln.to_bus}: zero impedance (merge the buses instead)"
             )
+        ends.append((a, b))
 
-    # connectivity check: N buses, N-1 edges, all reachable from slack => tree
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for ln in lines:
-        a, b = index[ln.from_bus], index[ln.to_bus]
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = [False] * n
-    stack = [slack[0]]
-    seen[slack[0]] = True
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    if not all(seen):
-        missing = [buses[i].id for i in range(n) if not seen[i]]
+    # N buses and N-1 lines, all reached from the slack: a tree
+    reached = [*_walk(n, ends, slack[0])]
+    if len(reached) != n - 1:
+        seen = {slack[0]}.union(v for v, _, _ in reached)
+        missing = [bus.id for i, bus in enumerate(buses) if i not in seen]
         raise FeederTopologyError(
             f"buses not connected to the slack bus: {missing} (cycle elsewhere)"
         )
@@ -225,6 +222,11 @@ def build_feeder(
             raise FeederTopologyError(f"hub references unknown bus {h.bus!r}")
         if h.bus in seen_hub_bus:
             raise FeederTopologyError(f"duplicate hub at bus {h.bus!r}")
+        if index[h.bus] == slack[0]:
+            raise FeederTopologyError(
+                f"hub at the slack bus {h.bus!r}: the slack voltage is fixed, "
+                "so its injection would move no voltage"
+            )
         seen_hub_bus.add(h.bus)
         if not (0 < h.p_max_kw < math.inf and 0 < h.q_max_kvar < math.inf):
             raise ValueError(f"hub at bus {h.bus}: rated limits must be positive and finite")

@@ -1,4 +1,4 @@
-"""Digest of every HourRecord field over the shipped scenarios' evaluation days.
+"""Digests of every HourRecord field and of the compiled feeder matrices.
 
     PYTHONPATH=src python tests/record_digest.py
 
@@ -9,6 +9,12 @@ one for the days without fixed-point droop and one for the fixed-point
 days. A change meant to keep every output bit-identical must keep the
 first; the second moves whenever the fixed-point iterates do, for
 example under a different start of their solves.
+
+A third digest covers the feeder parse and compilation: the bytes of
+`path_impedance`, `admittance` and `base_load_kw` of the compiled network
+of each shipped feeder and of 300 `random_case` feeders (mixed voltage
+bases, the slack anywhere, lines in either direction) drawn from
+`default_rng(5)`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
+import numpy as np
+from test_power_flow import random_case
+
+from voltfleet.grid import load_feeder_file
 from voltfleet.harness.evaluate import evaluate
+from voltfleet.resources import feeder_path
 from voltfleet.scenario import load_scenario
 
 SCENARIOS = ("five_bus_train", "single_hub_mild", "single_hub_aggressive",
@@ -54,6 +65,22 @@ def digests() -> dict[str, tuple[int, str]]:
     return {k: (days[k], h.hexdigest()) for k, h in hashes.items()}
 
 
+def network_digest() -> tuple[int, str]:
+    """(feeders, sha256) over the compiled matrices of the feeders above."""
+    rng = np.random.default_rng(5)
+    feeders = [load_feeder_file(feeder_path(name))
+               for name in ("two_bus", "five_bus_train", "ieee34_equiv")]
+    feeders += [random_case(rng, int(rng.integers(2, 41)), 1.0)[0] for _ in range(300)]
+    h = hashlib.sha256()
+    for feeder in feeders:
+        net = feeder.network
+        for a in (net.path_impedance, net.admittance, net.base_load_kw):
+            h.update(a.tobytes())
+    return len(feeders), h.hexdigest()
+
+
 if __name__ == "__main__":
     for kind, (n, digest) in digests().items():
         print(f"{kind}: {n} days {digest}")
+    n, digest = network_digest()
+    print(f"network: {n} feeders {digest}")

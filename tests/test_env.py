@@ -99,6 +99,27 @@ def test_config_validation(two_bus):
         EnvConfig(feeder=two_bus, hub_buses=("2",), phase=3)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nonconvergence_penalty", float("nan")),
+        ("nonconvergence_penalty", -float("inf")),
+        ("episode_len", 0),
+        ("v2g_window", (23, 6)),
+        ("v2g_window", (6, 25)),
+        ("v2g_window", (6,)),
+        ("lambda_range", (2.0, 1.0)),
+        ("lambda_range", (float("nan"), 1.0)),
+        ("lambda_range", (0.5, float("inf"))),
+        ("lambda_range", (-0.1, 1.0)),
+    ],
+)
+def test_config_rejects_values_that_break_a_run(field, value):
+    cfg = config_from_scenario(load_scenario("five_bus_train"))
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(cfg, **{field: value})
+
+
 def test_phase2_requires_fleets(two_bus):
     with pytest.raises(ValueError, match="fleet"):
         V2GEnv(eval_config(two_bus, phase=2))
