@@ -10,16 +10,24 @@ for all hubs at once, as an (H, 2) kW/kvar array in hub order.
 
 `DroopCurve` is also the scenario's `[droop]` section: `fixed_point`
 asks the evaluation harness to iterate the response against the grid
-until it reproduces itself.
+until it reproduces itself. `fixed_point_setpoints` runs that iteration
+for many loadings at once; the harness hands it the hours of the V2G
+window, as no hub injects outside it. Each loading keeps its own damped
+map and its own exits, and the loadings still iterating share one
+batched solve per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .grid import PowerFlowSolution
+from .grid import Feeder, PowerFlowSolution, solve_power_flows
+
+FP_MAX_ITERS = 200
+FP_TOL_KW = 1e-2
 
 
 @dataclass(frozen=True)
@@ -83,3 +91,47 @@ def droop_control(
     """
     out = _outputs(curve or DroopCurve(), solution.v_pu[hub_index].tolist())
     return np.array(out)[:, None] * ratings
+
+
+def fixed_point_setpoints(
+    feeder: Feeder,
+    lams: Sequence[float],
+    observed: Sequence[PowerFlowSolution],
+    hub_index: np.ndarray,
+    ratings: np.ndarray,
+    curve: DroopCurve,
+) -> np.ndarray:
+    """(k, H, 2) hub setpoints that reproduce themselves at each of k loadings.
+
+    `observed[j]` is the solve without injection at `lams[j]`. Its droop
+    response is the first setpoint s, and it starts the first solve with s
+    (a non-converged one gives the flat start). Each round, the loadings
+    still iterating are solved together, each from its last converged
+    solve, and the droop response t to their hub voltages is taken. A
+    loading stops with t when |t - s| < FP_TOL_KW, and keeps s when its
+    solve does not converge; else s becomes 0.5 s + 0.5 t, damped because
+    the raw map oscillates on stiff feeders. At most FP_MAX_ITERS rounds.
+    """
+    def response(sols):
+        v_hub = np.array([sol.v_pu[hub_index] for sol in sols])
+        return droop_output(curve, v_hub.reshape(len(sols), len(hub_index)))[..., None] * ratings
+
+    setpoints = response(observed)
+    starts = list(observed)
+    going = np.arange(len(lams))
+    for _ in range(FP_MAX_ITERS):
+        if not going.size:
+            break
+        sols = solve_power_flows(feeder, [lams[j] for j in going], hub_index,
+                                 setpoints[going], [starts[j] for j in going])
+        ok = np.array([sol.converged for sol in sols], dtype=bool)
+        going = going[ok]
+        sols = [sol for sol in sols if sol.converged]
+        for j, sol in zip(going, sols):
+            starts[j] = sol
+        target = response(sols)
+        s = setpoints[going]
+        settled = np.abs(target - s).max(axis=(1, 2)) < FP_TOL_KW
+        setpoints[going] = np.where(settled[:, None, None], target, 0.5 * s + 0.5 * target)
+        going = going[~settled]
+    return setpoints

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fleet import FleetState, allocate
 from .grid import Feeder, Hub, solve_power_flow
-from .scenario import Scenario
+from .scenario import Scenario, check_distinct_hubs
 
 V_LOW_PU = 0.95
 V_HIGH_PU = 1.05
@@ -85,6 +85,7 @@ class EnvConfig:
             raise ValueError(f"hub buses not on feeder: {missing}")
         if not self.hub_buses:
             raise ValueError("need at least one active hub")
+        check_distinct_hubs(self.hub_buses)
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
         lo, hi = self.lambda_range

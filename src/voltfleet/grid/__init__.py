@@ -13,6 +13,7 @@ from .powerflow import (
     DEFAULT_TOLERANCE_PU,
     PowerFlowSolution,
     solve_power_flow,
+    solve_power_flows,
 )
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "load_feeder_file",
     "PowerFlowSolution",
     "solve_power_flow",
+    "solve_power_flows",
     "DEFAULT_TOLERANCE_PU",
     "DEFAULT_MAX_ITERATIONS",
 ]

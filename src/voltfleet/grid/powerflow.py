@@ -158,3 +158,94 @@ def solve_power_flow(
             net.no_injection.clear()
         net.no_injection[key] = sol
     return sol
+
+
+def solve_power_flows(
+    feeder: Feeder,
+    lams,
+    hub_index: np.ndarray,
+    hub_pq: np.ndarray,
+    starts,
+) -> list[PowerFlowSolution]:
+    """k independent solves of one feeder at once, one per column.
+
+    Case j is `solve_power_flow(feeder, lams[j], hub_index, hub_pq[j],
+    start=starts[j])`, and it is checked the same way: `hub_pq` is (k, H, 2)
+    and `starts` holds a solution of this feeder or None per case. The
+    sweep runs on (n, k) arrays, so each product is one matrix-matrix
+    product. Each column stops on its own test (converged, non-finite or
+    the iteration cap) and then leaves the product. A lone column gives
+    `solve_power_flow`'s bits; among others its voltages agree to the
+    tolerance, as the product may sum in another order. The network's
+    no-injection solutions are neither read nor kept: a case without
+    injection is solved from the flat start, as it would be there.
+    """
+    for lam in lams:
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"load multiplier must be finite and >= 0, got {lam!r}")
+    k = len(lams)
+    hub_pq = np.asarray(hub_pq, dtype=float)
+    if hub_pq.shape != (k, len(hub_index), 2):
+        raise ValueError(
+            f"hub_pq must be ({k}, {len(hub_index)}, 2) for {k} cases on the "
+            f"{len(hub_index)} buses of hub_index, got {hub_pq.shape}"
+        )
+    if len(starts) != k:
+        raise ValueError(f"{k} cases but {len(starts)} starts")
+    if any(s is not None and s.bus_ids != feeder.bus_ids for s in starts):
+        raise ValueError("start is a solution of another feeder")
+    net = feeder.network
+    n = len(feeder.buses)
+    s_base_kw = feeder.base_mva * 1000.0
+
+    # (n, k, 2) demand in p.u., rounded term by term as in solve_power_flow
+    pq = np.array(lams, dtype=float)[:, None] * net.base_load_kw[:, None, :] / s_base_kw
+    pq[hub_index] -= hub_pq.transpose(1, 0, 2) / s_base_kw
+    s_net = pq.view(np.complex128)[..., 0]
+
+    root = feeder.slack_index
+    v_slack = np.complex128(1.0)
+    v = np.empty((n, k), np.complex128)
+    v.fill(v_slack)  # flat start
+    injects = np.count_nonzero(hub_pq, axis=(1, 2)) > 0
+    for j, start in enumerate(starts):
+        if injects[j] and start is not None and start.converged:
+            v[:, j] = start.v_pu * np.exp(1j * start.angle_rad)
+    iterations = np.zeros(k, dtype=int)
+    mismatch = np.full(k, np.inf)
+
+    # the columns still iterating, their voltages and their demand
+    cols, v_on, s_on = np.arange(k), v, s_net
+    with np.errstate(all="ignore"):  # divergence handled via the finite check
+        for it in range(1, DEFAULT_MAX_ITERATIONS + 1):
+            if not cols.size:
+                break
+            v_on = v_slack - np.dot(net.path_impedance, np.conj(s_on / v_on))
+            s_err = v_on * np.conj(np.dot(net.admittance, v_on)) + s_on
+            s_err[root] = 0.0
+            mm = np.maximum.reduce(np.abs(s_err), axis=0)
+            going = (mm > DEFAULT_TOLERANCE_PU) & np.isfinite(mm) & (it < DEFAULT_MAX_ITERATIONS)
+            if going.all():
+                continue
+            stop = ~going
+            done = cols[stop]
+            v[:, done] = v_on[:, stop]
+            iterations[done] = it
+            mismatch[done] = np.where(np.isfinite(mm[stop]), mm[stop], np.inf)
+            cols, v_on, s_on = cols[going], v_on[:, going], s_on[:, going]
+
+    converged = mismatch <= DEFAULT_TOLERANCE_PU
+    v[root] = v_slack  # slack pinned bit-for-bit
+    v_pu, angle_rad = np.abs(v).T.copy(), np.arctan2(v.imag, v.real).T.copy()
+    v_pu.flags.writeable = angle_rad.flags.writeable = False
+    return [
+        PowerFlowSolution(
+            bus_ids=feeder.bus_ids,
+            v_pu=v_pu[j],
+            angle_rad=angle_rad[j],
+            converged=bool(converged[j]),
+            iterations=int(iterations[j]),
+            max_mismatch_pu=float(mismatch[j]),
+        )
+        for j in range(k)
+    ]

@@ -1,4 +1,11 @@
-"""Run a scenario day under a chosen controller and collect hourly records."""
+"""Run a scenario day under a chosen controller and collect hourly records.
+
+Fixed-point droop is solved once per day, before the first step, for the
+hours of the V2G window only: outside it the env delivers nothing, so
+those hours take the zero action. The window's hours are iterated
+together (`fixed_point_setpoints`), each with the same damped map and
+exits as alone.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..droop import droop_control
+from ..droop import droop_control, fixed_point_setpoints
 from ..env import V2GEnv, config_from_scenario
 from ..fleet import available_count
 from ..grid import solve_power_flow
@@ -15,9 +22,6 @@ from ..scenario import Scenario, build_fleets
 from .metrics import DayMetrics, compute_metrics
 
 CONTROLLERS = ("none", "droop", "rl")
-
-_FP_MAX_ITERS = 200
-_FP_TOL_KW = 1e-2
 
 
 @dataclass(frozen=True)
@@ -55,31 +59,25 @@ class RunResult:
 
 
 def _droop_action(env: V2GEnv, scenario: Scenario) -> np.ndarray:
-    """Normalized action realizing the droop response to the observed voltages.
-
-    With fixed_point enabled the hub response is iterated against the grid
-    until the voltages it was computed from stop moving, so the setpoint
-    handed to the environment reproduces itself under the final solve.
-    Each of those solves is warm-started: the first from the observed
-    solve at the hour's loading, each later one from the iterate before.
-    """
-    curve = scenario.droop
-    prev = env.current_solution
-    setpoints = droop_control(prev, env.hub_index, env.ratings, curve)
-    if curve.fixed_point:
-        # damped iteration: the raw response map oscillates on stiff feeders
-        for _ in range(_FP_MAX_ITERS):
-            nxt = solve_power_flow(env.config.feeder, env.current_lambda,
-                                   env.hub_index, setpoints, start=prev)
-            if not nxt.converged:
-                break
-            prev = nxt
-            target = droop_control(nxt, env.hub_index, env.ratings, curve)
-            if np.abs(target - setpoints).max() < _FP_TOL_KW:
-                setpoints = target
-                break
-            setpoints = 0.5 * setpoints + 0.5 * target
+    """Normalized action realizing the droop response to the observed voltages."""
+    setpoints = droop_control(env.current_solution, env.hub_index, env.ratings, scenario.droop)
     return (setpoints / env.ratings).reshape(-1)
+
+
+def _fixed_point_actions(env: V2GEnv, scenario: Scenario) -> dict[int, np.ndarray]:
+    """Normalized fixed-point droop action for each hour of the V2G window.
+
+    The hours are independent (the fleet never enters the iteration), so
+    they are iterated together. Each starts from the observed solve at
+    its loading: the same solution the env observes in that hour.
+    """
+    feeder = env.config.feeder
+    hours = range(*env.config.v2g_window)
+    lams = [env.config.profile[h] for h in hours]
+    observed = [solve_power_flow(feeder, lam) for lam in lams]
+    setpoints = fixed_point_setpoints(feeder, lams, observed, env.hub_index, env.ratings,
+                                      scenario.droop)
+    return {h: (s / env.ratings).reshape(-1) for h, s in zip(hours, setpoints)}
 
 
 def _fleet_snapshot(env: V2GEnv, hour: int) -> tuple[float | None, int]:
@@ -138,6 +136,11 @@ def evaluate(
         act = lambda obs: np.zeros(env.action_size)
     elif controller == "rl":
         act = lambda obs: agent.act(obs, deterministic=True)
+    elif scenario.droop.fixed_point:
+        # outside the window the env delivers nothing, whatever the action
+        actions = _fixed_point_actions(env, scenario)
+        closed = np.zeros(env.action_size)
+        act = lambda obs: actions.get(env.current_hour, closed)
     else:
         act = lambda obs: _droop_action(env, scenario)
 

@@ -76,6 +76,14 @@ class Scenario:
             raise ValueError("v2g_window wants two hours: 0 <= start < end <= 24")
         if not math.isfinite(self.nonconvergence_penalty):
             raise ValueError("nonconvergence_penalty must be finite")
+        check_distinct_hubs(self.hub_buses)
+
+
+def check_distinct_hubs(hub_buses: tuple[str, ...]) -> None:
+    """A bus listed twice would get two hub rows, and the solve keeps only one."""
+    repeated = sorted({b for b in hub_buses if hub_buses.count(b) > 1})
+    if repeated:
+        raise ValueError(f"hub buses listed more than once: {repeated}")
 
 
 def _floats(text: str) -> tuple[float, ...]:

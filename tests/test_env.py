@@ -120,6 +120,12 @@ def test_config_rejects_values_that_break_a_run(field, value):
         dataclasses.replace(cfg, **{field: value})
 
 
+def test_config_rejects_a_repeated_hub_bus():
+    cfg = config_from_scenario(load_scenario("multi_hub_mild"))
+    with pytest.raises(ValueError, match=r"more than once: \['844'\]"):
+        dataclasses.replace(cfg, hub_buses=("890", "844", "844"))
+
+
 def test_phase2_requires_fleets(two_bus):
     with pytest.raises(ValueError, match="fleet"):
         V2GEnv(eval_config(two_bus, phase=2))

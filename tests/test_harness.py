@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltfleet.fleet as fleet_module
-from voltfleet.droop import DroopCurve, droop_control
-from voltfleet.grid import solve_power_flow
+import voltfleet.droop as droop_module
+from voltfleet.droop import FP_TOL_KW, droop_control, fixed_point_setpoints
+from voltfleet.grid import solve_power_flow, solve_power_flows
 from voltfleet.harness.cli import main
-from voltfleet.harness.evaluate import _FP_TOL_KW, HourRecord, _droop_action, evaluate
+from voltfleet.harness.evaluate import HourRecord, evaluate
 from voltfleet.harness.metrics import compute_metrics
 from voltfleet.harness.report import build_report, hourly_csv, run_filename, write_report
 from voltfleet.env import V2GEnv, config_from_scenario
@@ -230,23 +231,74 @@ def test_rl_rejects_a_policy_of_another_size_before_the_day(name, obs_dim, act_d
         evaluate(load_scenario(name), "rl", agent=agent)
 
 
-def test_fixed_point_droop_self_consistent(five_bus_scenario):
-    sc = dataclasses.replace(
-        five_bus_scenario,
-        droop=dataclasses.replace(five_bus_scenario.droop, fixed_point=True),
-    )
+SHIPPED_SCENARIOS = ("five_bus_train", "single_hub_mild", "single_hub_aggressive",
+                     "multi_hub_mild", "multi_hub_aggressive")
+
+
+def _with_fixed_point(sc, fixed_point):
+    return dataclasses.replace(sc, droop=dataclasses.replace(sc.droop, fixed_point=fixed_point))
+
+
+def _window_fixed_points(sc):
+    """The env, the loadings of the V2G window's hours and their fixed-point setpoints."""
     env = V2GEnv(config_from_scenario(sc, mode="eval"))
-    env.reset()
-    action = _droop_action(env, sc)
+    hours = range(*sc.v2g_window)
+    lams = [sc.profile[h] for h in hours]
+    observed = [solve_power_flow(sc.feeder, lam) for lam in lams]
+    setpoints = fixed_point_setpoints(sc.feeder, lams, observed, env.hub_index, env.ratings,
+                                      sc.droop)
+    assert setpoints.shape == (len(hours), len(env.hubs), 2)
+    return env, lams, setpoints
+
+
+def _max_residual(sc, env, lams, setpoints):
+    """Largest |droop(solve(s)) - s| over the hours, each solved alone; all must converge."""
+    worst = 0.0
+    for lam, s in zip(lams, setpoints):
+        sol = solve_power_flow(sc.feeder, lam, env.hub_index, s)
+        assert sol.converged, lam
+        worst = max(worst, np.abs(droop_control(sol, env.hub_index, env.ratings, sc.droop)
+                                  - s).max())
+    return worst
+
+
+def test_fixed_point_droop_self_consistent(five_bus_scenario):
+    sc = _with_fixed_point(five_bus_scenario, True)
+    env, lams, setpoints = _window_fixed_points(sc)
     assert len(env.hubs) == 1
-    setpoint = action.reshape(-1, 2) * env.ratings
-    sol = solve_power_flow(sc.feeder, env.current_lambda, env.hub_index, setpoint)
-    again = droop_control(sol, env.hub_index, env.ratings, DroopCurve())
-    assert again[0, 0] == pytest.approx(setpoint[0, 0], abs=0.5)  # kW scale
-    assert again[0, 1] == pytest.approx(setpoint[0, 1], abs=0.5)
+    assert setpoints.any()  # some window hour injects
+    assert _max_residual(sc, env, lams, setpoints) <= FP_TOL_KW
 
     run = evaluate(sc, "droop")
     assert run.metrics.nonconverged_hours == 0
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+def test_fixed_point_days_solve_only_the_window(name, monkeypatch):
+    """Closed hours get the uncontrolled day's records; no batched solve reaches them."""
+    sc = _with_fixed_point(load_scenario(name), True)
+    batches = []
+
+    def recording(feeder, lams, *args):
+        batches.append(list(lams))
+        return solve_power_flows(feeder, lams, *args)
+
+    monkeypatch.setattr(droop_module, "solve_power_flows", recording)
+    lo, hi = sc.v2g_window
+    window_lams = [sc.profile[h] for h in range(lo, hi)]
+    for ev in (False, True):
+        batches.clear()
+        fp = evaluate(sc, "droop", ev_constrained=ev)
+        assert batches and batches[0] == window_lams
+        for lams in batches[1:]:  # each round solves a subset of the hours before it
+            it = iter(window_lams)
+            assert all(lam in it for lam in lams)
+        none = evaluate(sc, "none", ev_constrained=ev)
+        # with EVs, the hours after the window carry the fleet the window drained
+        closed = range(lo) if ev else [*range(lo), *range(hi, 24)]
+        for h in closed:
+            assert repr(fp.hours[h]) == repr(none.hours[h]), (h, ev)
+        assert any(fp.hours[h].hub_p_kw != none.hours[h].hub_p_kw for h in range(lo, hi))
 
 
 # ---- report and CSV ---------------------------------------------------
@@ -436,14 +488,6 @@ def test_shipped_days_match_their_pins(name):
     assert _sha256(build_report(runs)) == PINS["report_sha256"][name]
 
 
-SHIPPED_SCENARIOS = ("five_bus_train", "single_hub_mild", "single_hub_aggressive",
-                     "multi_hub_mild", "multi_hub_aggressive")
-
-
-def _with_fixed_point(sc, fixed_point):
-    return dataclasses.replace(sc, droop=dataclasses.replace(sc.droop, fixed_point=fixed_point))
-
-
 @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
 def test_days_on_a_warmed_feeder_match_days_on_a_fresh_one(name):
     """The feeder keeps its no-injection solves across days; no record may show it."""
@@ -495,19 +539,8 @@ def test_fixed_point_days_match_their_pinned_figures(name):
 
 @pytest.mark.parametrize("name", sorted(PINS["droop_fp"]))
 def test_fixed_point_setpoints_reproduce_themselves(name):
-    """Every hour's final setpoint s meets |droop(solve(s)) - s| <= _FP_TOL_KW."""
+    """Every window hour's final setpoint s meets |droop(solve(s)) - s| <= FP_TOL_KW."""
     sc = _with_fixed_point(load_scenario(name), True)
-    env = V2GEnv(config_from_scenario(sc, mode="eval"), seed=sc.seed)
-    env.reset()
-    injecting = 0
-    done = False
-    while not done:
-        action = _droop_action(env, sc)
-        s = action.reshape(-1, 2) * env.ratings
-        sol = solve_power_flow(sc.feeder, env.current_lambda, env.hub_index, s)
-        assert sol.converged
-        residual = np.abs(droop_control(sol, env.hub_index, env.ratings, sc.droop) - s).max()
-        assert residual <= _FP_TOL_KW, (env.current_hour, residual)
-        injecting += bool(s.any())
-        done = env.step(action).done
-    assert injecting > 0
+    env, lams, setpoints = _window_fixed_points(sc)
+    assert _max_residual(sc, env, lams, setpoints) <= FP_TOL_KW
+    assert setpoints.any()

@@ -18,6 +18,7 @@ from voltfleet.grid import (
     build_feeder,
     load_feeder_file,
     solve_power_flow,
+    solve_power_flows,
 )
 from voltfleet.resources import feeder_path
 
@@ -251,6 +252,86 @@ def test_warm_start_from_a_converged_solution_only(case, start_lam, scale):
             assert warm.max_mismatch_pu <= powerflow.DEFAULT_TOLERANCE_PU
         if warm.converged and flat.converged:
             assert np.max(np.abs(_phasors(warm) - _phasors(flat))) <= 1e-6
+
+
+START_KINDS = ("flat", "warm", "failed")
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_cases, st.lists(st.tuples(st.floats(0.0, 4.0),
+                                        st.sampled_from((0.0, -0.0, 0.3, 1.0, -1.0)),
+                                        st.sampled_from(START_KINDS)),
+                              min_size=1, max_size=6))
+def test_batched_solves_match_single_solves(case, columns):
+    """Each column alone has the single solve's bits, among others its voltages to 1e-9 pu.
+
+    Columns mix loadings past the nose, zero injections and flat, warm and
+    non-converged starts, so some stop early and the rest go on without them.
+    """
+    feeder, start_lam, injections = case
+    hub_index, hub_pq = injection_arrays(feeder, injections)
+    warm = solve_power_flow(feeder, start_lam, hub_index, 0.5 * hub_pq)
+    failed = dataclasses.replace(warm, converged=False)
+    starts = [dict(flat=None, warm=warm, failed=failed)[kind] for _, _, kind in columns]
+    lams = [lam for lam, _, _ in columns]
+    pqs = np.stack([scale * hub_pq for _, scale, _ in columns])
+    singles = [solve_power_flow(feeder, lam, hub_index, pq, start=start)
+               for lam, pq, start in zip(lams, pqs, starts)]
+
+    fresh = dataclasses.replace(feeder)
+    table = fresh.network.no_injection
+    bogus = dataclasses.replace(warm, iterations=-1)
+    table.update({(float(lam), 1.0): bogus for lam in lams})
+    kept = dict(table)
+    for lam, pq, start, single in zip(lams, pqs, starts, singles):
+        [one] = solve_power_flows(fresh, [lam], hub_index, pq[None], [start])
+        assert _same_solution(one, single)
+    batch = solve_power_flows(fresh, lams, hub_index, pqs, starts)
+    assert table == kept  # neither read nor written
+    assert len(batch) == len(columns)
+    for got, single in zip(batch, singles):
+        assert got.bus_ids == feeder.bus_ids
+        assert got.converged == single.converged
+        if got.converged:
+            assert got.max_mismatch_pu <= powerflow.DEFAULT_TOLERANCE_PU
+            assert np.max(np.abs(_phasors(got) - _phasors(single))) <= 1e-9
+        for arr in (got.v_pu, got.angle_rad):
+            assert not arr.flags.writeable
+
+
+def test_a_diverging_column_stops_no_other():
+    feeder = two_bus()
+    hub_index = np.array([feeder.bus_index("2")])
+    lams = [1.0, 200.0, 0.5, 200.0, 2.0]  # 200: far past the line's transfer limit
+    pqs = np.array([[[100.0, 50.0]], [[0.0, 0.0]], [[-80.0, 20.0]], [[300.0, 0.0]], [[0.0, 0.0]]])
+    batch = solve_power_flows(feeder, lams, hub_index, pqs, [None] * len(lams))
+    assert [sol.converged for sol in batch] == [True, False, True, False, True]
+    for lam, pq, got in zip(lams, pqs, batch):
+        single = solve_power_flow(feeder, lam, hub_index, pq)
+        assert (got.converged, got.iterations) == (single.converged, single.iterations)
+        if got.converged:
+            assert np.max(np.abs(_phasors(got) - _phasors(single))) <= 1e-9
+        assert got.v_pu[feeder.slack_index] == 1.0
+
+
+@pytest.mark.parametrize("lams, pq_shape, other_start, match", [
+    ([math.nan, 1.0], (2, 1, 2), False, "load multiplier"),
+    ([1.0, math.inf], (2, 1, 2), False, "load multiplier"),
+    ([-0.1], (1, 1, 2), False, "load multiplier"),
+    ([1.0, 1.0], (2, 2, 2), False, "hub_pq"),
+    ([1.0, 1.0], (1, 1, 2), False, "hub_pq"),
+    ([1.0], (1, 2), False, "hub_pq"),
+    ([1.0, 1.0], (2, 1, 2), True, "another feeder"),
+])
+def test_batched_solve_rejects_what_the_single_solve_rejects(lams, pq_shape, other_start, match):
+    feeder = two_bus()
+    hub_index = np.array([feeder.bus_index("2")])
+    starts = [_other_feeder_solution(feeder) if other_start else None] * len(lams)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            solve_power_flows(feeder, lams, hub_index, np.full(pq_shape, 10.0), starts)
+    assert not feeder.network.no_injection
 
 
 @pytest.mark.parametrize("lam, v_slack, match", [

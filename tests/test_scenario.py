@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ def test_inline_profile_values(tmp_path):
 def test_malformed_scenarios_rejected(tmp_path, body, fragment):
     with pytest.raises(ValueError, match=fragment):
         load_scenario(_write_scenario(tmp_path, body))
+
+
+@pytest.mark.parametrize("hubs, repeated", [
+    ("890 890", "['890']"),
+    ("890, 844, 890", "['890']"),
+    ("844 890 844 890", "['844', '890']"),
+])
+def test_repeated_hub_bus_rejected(tmp_path, hubs, repeated):
+    """A repeated hub gets two action rows, and the solve would keep only one."""
+    body = scenario_path("single_hub_mild").read_text().replace("hubs = 890", f"hubs = {hubs}")
+    with pytest.raises(ValueError, match=r"case\.ini: \[scenario\] hub buses listed more "
+                                         r"than once: " + re.escape(repeated)):
+        load_scenario(_write_scenario(tmp_path, body))
+    sc = load_scenario("multi_hub_mild")
+    with pytest.raises(ValueError, match=r"more than once: \['890'\]"):
+        dataclasses.replace(sc, hub_buses=("890", "844", "890"))
 
 
 def test_build_fleets_split_and_ranges():
