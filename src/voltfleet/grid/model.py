@@ -96,7 +96,7 @@ class Network:
     end farther from the slack. `base_load_kw` is the (n, 2) array of
     (P_kw, Q_kvar) each bus consumes at load multiplier 1, summed over
     its loads. `no_injection` holds the solutions of solves without
-    injection by `(lam, v_slack_pu)`; `solve_power_flow` fills and reuses it.
+    injection by `lam`; `solve_power_flow` fills and reuses it.
     """
 
     path_impedance: np.ndarray

@@ -11,21 +11,21 @@ only the load multiplier and the hub injections, as arrays. Convergence
 is judged on the per-bus complex power mismatch, not on the voltage
 update, so a converged solution certifies power balance.
 
-A solve without injection depends only on the loading and the slack
-voltage, and evaluation repeats such solves: the days of a scenario
-share its 24 profile loadings, and uncontrolled hours, hours outside
-the V2G window and droop hours inside the deadband inject nothing. The
-network keeps those solutions (`Network.no_injection`, at most
-`NO_INJECTION_CAP`) and hands a repeat the same object, so every
+The slack bus holds 1.0 pu, so a solve without injection depends only
+on the loading, and evaluation repeats such solves: the days of a
+scenario share its 24 profile loadings, and uncontrolled hours, hours
+outside the V2G window and droop hours inside the deadband inject
+nothing. The network keeps those solutions (`Network.no_injection`, at
+most `NO_INJECTION_CAP`) and hands a repeat the same object, so every
 solution's `v_pu` and `angle_rad` are read-only. A tracer that wraps
 `solve_power_flow` counts a reused solution as a solve with its
 original `iterations`.
 
-A solve that injects can start from an earlier converged solution of the
-same feeder instead of the flat profile (`start`); the fixed-point droop
-iterates this way, each solve from the one before. A warm start changes
-an iterate's path, so its result matches the flat start's to the
-tolerance, not to the bit.
+`solve_power_flows` solves k cases at once for the fixed-point droop, and
+only it takes warm starts: a case that injects may start from an earlier
+converged solution, which changes an iterate's path, so its result
+matches the flat start's to the tolerance, not to the bit. The two
+solves share their checks and their result assembly, not their loop.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ DEFAULT_TOLERANCE_PU = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
 # no-injection solutions kept per network; a day has 24 loadings
 NO_INJECTION_CAP = 64
+_V_SLACK = np.complex128(1.0)
 
 
 @dataclass(frozen=True)
@@ -56,39 +57,47 @@ class PowerFlowSolution:
         return float(self.v_pu[self.bus_ids.index(bus_id)])
 
 
+def _check_loading(lam) -> None:
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"load multiplier must be finite and >= 0, got {lam!r}")
+
+
+def _check_distinct(hub_index, n: int) -> None:
+    buses = [b % n for b in np.asarray(hub_index).tolist()]  # -1 names bus n - 1
+    if len(set(buses)) != len(buses):  # pq[hub_index] -= ... keeps a repeated bus's last row
+        raise ValueError(f"hub_index repeats bus index {max(buses, key=buses.count)}: {buses}")
+
+
+def _polar(v: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only |V| and angle of the phasors `v`, buses on axis 0, with
+    one solution per row; the slack entry is first set to exactly 1.0 pu."""
+    v[root] = _V_SLACK
+    v_pu = np.ascontiguousarray(np.abs(v).T)
+    angle_rad = np.ascontiguousarray(np.arctan2(v.imag, v.real).T)
+    v_pu.flags.writeable = angle_rad.flags.writeable = False
+    return v_pu, angle_rad
+
+
 def solve_power_flow(
     feeder: Feeder,
     lam: float,
     hub_index: np.ndarray | None = None,
     hub_pq: np.ndarray | None = None,
-    v_slack_pu: float = 1.0,
-    start: PowerFlowSolution | None = None,
 ) -> PowerFlowSolution:
-    """Backward/forward sweep solve at load multiplier `lam` >= 0.
+    """Backward/forward sweep solve at load multiplier `lam` >= 0, from the flat start.
 
     Every bus consumes `lam` times its base load (`Network.base_load_kw`).
     `hub_pq` is an (H, 2) array of injected (P_kw, Q_kvar), one row per
     bus index in `hub_index`, positive injecting into the grid (reduces
-    net demand at the bus). `hub_index` without `hub_pq` injects nothing,
-    and neither does an all-zero `hub_pq`: such a solve is reused from the
-    feeder's network when the same `(lam, v_slack_pu)` was solved before
-    (same object, same bits, same `iterations`). The arrays of every
-    solution are read-only. Non-convergence is reported via
-    `converged=False`; voltages are then the last iterate, never a stale
-    earlier state.
-
-    `start`, a solution of the same feeder (else `ValueError`), is the
-    first iterate of a solve that injects, when it converged. It is
-    ignored on a solve without injection, so the reused solutions never
-    depend on which solve came before, and when it did not converge. A
-    warm-started solve stops on the same mismatch test as a flat one.
+    net demand at the bus); a repeated index is a `ValueError`. `hub_index`
+    without `hub_pq` injects nothing, and neither does an all-zero
+    `hub_pq`: such a solve is reused from the feeder's network when the
+    same `lam` was solved before (same object, same bits, same
+    `iterations`). The arrays of every solution are read-only.
+    Non-convergence is reported via `converged=False`; voltages are then
+    the last iterate, never a stale earlier state.
     """
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"load multiplier must be finite and >= 0, got {lam!r}")
-    if not 0.0 < v_slack_pu < math.inf:
-        raise ValueError(f"slack voltage must be finite and > 0 pu, got {v_slack_pu!r}")
-    if start is not None and start.bus_ids != feeder.bus_ids:
-        raise ValueError("start is a solution of another feeder")
+    _check_loading(lam)
     if hub_pq is not None:
         # pq[None] would broadcast the injection onto every bus
         if hub_index is None:
@@ -99,12 +108,13 @@ def solve_power_flow(
             )
     net = feeder.network
     injects = hub_pq is not None and np.count_nonzero(hub_pq)
-    if not injects:
-        key = (float(lam), float(v_slack_pu))
+    if injects:
+        _check_distinct(hub_index, len(feeder.buses))
+    else:
+        key = float(lam)
         kept = net.no_injection.get(key)
         if kept is not None:
             return kept
-    n = len(feeder.buses)
     s_base_kw = feeder.base_mva * 1000.0
 
     # (P, Q) each bus consumes, in p.u. P and Q are divided as floats, not
@@ -119,17 +129,13 @@ def solve_power_flow(
     s_net = pq.view(np.complex128)[:, 0]
 
     root = feeder.slack_index
-    v_slack = np.complex128(v_slack_pu)
-    if injects and start is not None and start.converged:
-        v = start.v_pu * np.exp(1j * start.angle_rad)
-    else:
-        v = np.empty(n, np.complex128)
-        v.fill(v_slack)  # flat start
+    v = np.empty(len(feeder.buses), np.complex128)
+    v.fill(_V_SLACK)  # flat start
     mismatch = np.inf
     iterations = 0
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
-            v = v_slack - np.dot(net.path_impedance, np.conj(s_net / v))
+            v = _V_SLACK - np.dot(net.path_impedance, np.conj(s_net / v))
             # power-balance residual at every non-slack bus: the lines
             # deliver -V conj(Y V) into each bus, which must meet its demand
             s_err = v * np.conj(np.dot(net.admittance, v)) + s_net
@@ -141,15 +147,12 @@ def solve_power_flow(
             if mismatch <= DEFAULT_TOLERANCE_PU:
                 break
 
-    converged = math.isfinite(mismatch) and mismatch <= DEFAULT_TOLERANCE_PU
-    v[root] = v_slack  # slack pinned bit-for-bit
-    v_pu, angle_rad = np.abs(v), np.arctan2(v.imag, v.real)
-    v_pu.flags.writeable = angle_rad.flags.writeable = False
+    v_pu, angle_rad = _polar(v, root)
     sol = PowerFlowSolution(
         bus_ids=feeder.bus_ids,
         v_pu=v_pu,
         angle_rad=angle_rad,
-        converged=converged,
+        converged=mismatch <= DEFAULT_TOLERANCE_PU,
         iterations=iterations,
         max_mismatch_pu=mismatch,
     )
@@ -169,20 +172,19 @@ def solve_power_flows(
 ) -> list[PowerFlowSolution]:
     """k independent solves of one feeder at once, one per column.
 
-    Case j is `solve_power_flow(feeder, lams[j], hub_index, hub_pq[j],
-    start=starts[j])`, and it is checked the same way: `hub_pq` is (k, H, 2)
-    and `starts` holds a solution of this feeder or None per case. The
-    sweep runs on (n, k) arrays, so each product is one matrix-matrix
-    product. Each column stops on its own test (converged, non-finite or
-    the iteration cap) and then leaves the product. A lone column gives
+    Case j is `solve_power_flow(feeder, lams[j], hub_index, hub_pq[j])`,
+    checked the same way, with `hub_pq` (k, H, 2), except that it starts
+    from `starts[j]` (a solution of this feeder, else `ValueError`, or
+    None) when it injects and that start converged. The sweep runs on
+    (n, k) arrays, so each product is one matrix-matrix product. Each
+    column stops on its own test (converged, non-finite or the iteration
+    cap) and then leaves the product. A lone flat-started column gives
     `solve_power_flow`'s bits; among others its voltages agree to the
     tolerance, as the product may sum in another order. The network's
-    no-injection solutions are neither read nor kept: a case without
-    injection is solved from the flat start, as it would be there.
+    no-injection solutions are neither read nor kept.
     """
     for lam in lams:
-        if not 0.0 <= lam < math.inf:
-            raise ValueError(f"load multiplier must be finite and >= 0, got {lam!r}")
+        _check_loading(lam)
     k = len(lams)
     hub_pq = np.asarray(hub_pq, dtype=float)
     if hub_pq.shape != (k, len(hub_index), 2):
@@ -190,12 +192,12 @@ def solve_power_flows(
             f"hub_pq must be ({k}, {len(hub_index)}, 2) for {k} cases on the "
             f"{len(hub_index)} buses of hub_index, got {hub_pq.shape}"
         )
+    _check_distinct(hub_index, len(feeder.buses))
     if len(starts) != k:
         raise ValueError(f"{k} cases but {len(starts)} starts")
     if any(s is not None and s.bus_ids != feeder.bus_ids for s in starts):
         raise ValueError("start is a solution of another feeder")
     net = feeder.network
-    n = len(feeder.buses)
     s_base_kw = feeder.base_mva * 1000.0
 
     # (n, k, 2) demand in p.u., rounded term by term as in solve_power_flow
@@ -204,9 +206,7 @@ def solve_power_flows(
     s_net = pq.view(np.complex128)[..., 0]
 
     root = feeder.slack_index
-    v_slack = np.complex128(1.0)
-    v = np.empty((n, k), np.complex128)
-    v.fill(v_slack)  # flat start
+    v = np.full((len(feeder.buses), k), _V_SLACK)  # flat start
     injects = np.count_nonzero(hub_pq, axis=(1, 2)) > 0
     for j, start in enumerate(starts):
         if injects[j] and start is not None and start.converged:
@@ -220,7 +220,7 @@ def solve_power_flows(
         for it in range(1, DEFAULT_MAX_ITERATIONS + 1):
             if not cols.size:
                 break
-            v_on = v_slack - np.dot(net.path_impedance, np.conj(s_on / v_on))
+            v_on = _V_SLACK - np.dot(net.path_impedance, np.conj(s_on / v_on))
             s_err = v_on * np.conj(np.dot(net.admittance, v_on)) + s_on
             s_err[root] = 0.0
             mm = np.maximum.reduce(np.abs(s_err), axis=0)
@@ -234,16 +234,13 @@ def solve_power_flows(
             mismatch[done] = np.where(np.isfinite(mm[stop]), mm[stop], np.inf)
             cols, v_on, s_on = cols[going], v_on[:, going], s_on[:, going]
 
-    converged = mismatch <= DEFAULT_TOLERANCE_PU
-    v[root] = v_slack  # slack pinned bit-for-bit
-    v_pu, angle_rad = np.abs(v).T.copy(), np.arctan2(v.imag, v.real).T.copy()
-    v_pu.flags.writeable = angle_rad.flags.writeable = False
+    v_pu, angle_rad = _polar(v, root)
     return [
         PowerFlowSolution(
             bus_ids=feeder.bus_ids,
             v_pu=v_pu[j],
             angle_rad=angle_rad[j],
-            converged=bool(converged[j]),
+            converged=bool(mismatch[j] <= DEFAULT_TOLERANCE_PU),
             iterations=int(iterations[j]),
             max_mismatch_pu=float(mismatch[j]),
         )
