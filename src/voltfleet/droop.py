@@ -14,7 +14,8 @@ until it reproduces itself. `fixed_point_setpoints` runs that iteration
 for many loadings at once; the harness hands it the hours of the V2G
 window, as no hub injects outside it. Each loading keeps its own damped
 map and its own exits, and the loadings still iterating share one
-batched solve per round.
+batched solve per round, on one (n, k) phasor iterate kept across the
+rounds.
 """
 
 from __future__ import annotations
@@ -104,32 +105,35 @@ def fixed_point_setpoints(
     """(k, H, 2) hub setpoints that reproduce themselves at each of k loadings.
 
     `observed[j]` is the solve without injection at `lams[j]`. Its droop
-    response is the first setpoint s, and it starts the first solve with s
-    (a non-converged one gives the flat start). Each round, the loadings
-    still iterating are solved together, each from its last converged
-    solve, and the droop response t to their hub voltages is taken. A
-    loading stops with t when |t - s| < FP_TOL_KW, and keeps s when its
-    solve does not converge; else s becomes 0.5 s + 0.5 t, damped because
-    the raw map oscillates on stiff feeders. At most FP_MAX_ITERS rounds.
+    response is the first setpoint s, and its phasors start the first
+    solve with s (a non-converged one gives the flat start). Each round,
+    the loadings still iterating are solved together, each column from
+    its last converged iterate, and the droop response t to their hub
+    voltages |V| is taken. A loading stops with t when |t - s| <
+    FP_TOL_KW, and keeps s when its solve does not converge; else s
+    becomes 0.5 s + 0.5 t, damped because the raw map oscillates on stiff
+    feeders. At most FP_MAX_ITERS rounds.
     """
-    def response(sols):
-        v_hub = np.array([sol.v_pu[hub_index] for sol in sols])
-        return droop_output(curve, v_hub.reshape(len(sols), len(hub_index)))[..., None] * ratings
+    def response(v_hub):  # (k, H) hub voltages -> (k, H, 2) setpoints
+        return droop_output(curve, v_hub)[..., None] * ratings
 
-    setpoints = response(observed)
-    starts = list(observed)
-    going = np.arange(len(lams))
+    k, n = len(lams), len(feeder.buses)
+    v_pu = np.array([sol.v_pu for sol in observed]).reshape(k, n)
+    angle = np.array([sol.angle_rad for sol in observed]).reshape(k, n)
+    ok = np.array([sol.converged for sol in observed], dtype=bool)
+    setpoints = response(v_pu[:, hub_index])
+    # the (n, k) iterate: observed phasors, else the flat start
+    v = np.full((n, k), 1.0 + 0.0j)
+    v[:, ok] = (v_pu[ok] * np.exp(1j * angle[ok])).T
+    going = np.arange(k)
     for _ in range(FP_MAX_ITERS):
         if not going.size:
             break
-        sols = solve_power_flows(feeder, [lams[j] for j in going], hub_index,
-                                 setpoints[going], [starts[j] for j in going])
-        ok = np.array([sol.converged for sol in sols], dtype=bool)
+        v_new, ok = solve_power_flows(feeder, [lams[j] for j in going], hub_index,
+                                      setpoints[going], v[:, going])[:2]
         going = going[ok]
-        sols = [sol for sol in sols if sol.converged]
-        for j, sol in zip(going, sols):
-            starts[j] = sol
-        target = response(sols)
+        v[:, going] = v_new[:, ok]
+        target = response(np.abs(v_new[hub_index][:, ok]).T)
         s = setpoints[going]
         settled = np.abs(target - s).max(axis=(1, 2)) < FP_TOL_KW
         setpoints[going] = np.where(settled[:, None, None], target, 0.5 * s + 0.5 * target)

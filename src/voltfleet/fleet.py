@@ -98,7 +98,9 @@ def capability(fleet: FleetState, discharge: bool = True) -> np.ndarray:
     p_current = fleet.c_rate * fleet.capacity_kwh * fleet.soh
     rail_gap = fleet.soc if discharge else 1.0 - fleet.soc
     taper = np.maximum(np.minimum(rail_gap / 0.1, 1.0), 0.0)
-    return np.where(fleet.available, p_current * taper, 0.0)
+    caps = p_current * taper
+    caps[~fleet.available] = 0.0
+    return caps
 
 
 def available_count(fleet: FleetState, hour: int) -> int:
@@ -126,24 +128,33 @@ def allocate(
     Every EV is stepped each call: participating EVs carry their
     proportional share of the battery draw, the rest idle (calendar
     aging only). Infeasible requests are scaled by rho, never rejected.
+    A zero request (hypot(p, q) == 0) draws nothing: rho is 1, the
+    request comes back as it is, SOC keeps its bits and every EV ages by
+    the calendar alone, the bits the general arithmetic gives, as its
+    zero shares add only +-0.0.
     """
     s_req = math.hypot(p_req_kw, q_req_kvar)
+    mark_availability(fleet, hour)
+    if s_req == 0.0:
+        fleet.soh = np.maximum(fleet.soh - fleet.calendar_coeff, 1e-9)
+        return AllocationResult(p_sup_kw=float(p_req_kw), q_sup_kvar=float(q_req_kvar),
+                                rho=1.0, p_fleet_kw=0.0)
+
     p_fleet = s_req / fleet.eta_inv
     discharge = p_req_kw >= 0  # zero-P reactive service still drains via s_req
-
-    mark_availability(fleet, hour)
     caps = capability(fleet, discharge)
     # summed in EV order, one addition at a time, so rho is reproducible
     p_avail = sum(caps.tolist())
-    rho = 1.0 if s_req == 0.0 else min(1.0, p_avail / p_fleet)
+    rho = min(1.0, p_avail / p_fleet)
     drawn = rho * p_fleet
 
     share = drawn * caps / p_avail if p_avail > 0 else np.zeros_like(caps)
-    if np.any(share > caps + 1e-9):
+    if (share > caps + 1e-9).any():
         raise ValueError("allocation exceeded an EV's battery power capability")
     p_bat = -share if discharge else share
     usable = fleet.capacity_kwh * fleet.soh
-    fleet.soc = np.clip(fleet.soc + p_bat / usable, 0.0, 1.0)
+    # np.clip's values, without its dispatch; 0.0 first, so -0.0 stays -0.0 as under clip
+    fleet.soc = np.minimum(np.maximum(0.0, fleet.soc + p_bat / usable), 1.0)
     soh = fleet.soh - fleet.cycle_coeff * np.abs(p_bat) / fleet.capacity_kwh
     soh -= fleet.calendar_coeff
     fleet.soh = np.maximum(soh, 1e-9)

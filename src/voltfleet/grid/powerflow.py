@@ -21,11 +21,14 @@ solution's `v_pu` and `angle_rad` are read-only. A tracer that wraps
 `solve_power_flow` counts a reused solution as a solve with its
 original `iterations`.
 
-`solve_power_flows` solves k cases at once for the fixed-point droop, and
-only it takes warm starts: a case that injects may start from an earlier
-converged solution, which changes an iterate's path, so its result
-matches the flat start's to the tolerance, not to the bit. The two
-solves share their checks and their result assembly, not their loop.
+`solve_power_flows` solves k cases at once for the fixed-point droop, on
+(n, k) phasor arrays, and only it takes a warm start: an (n, k) complex
+iterate, used column by column as given. A warm start changes an
+iterate's path, so its result matches the flat start's to the
+tolerance, not to the bit. It returns the raw phasors with per-column
+status arrays and builds no `PowerFlowSolution`, so a caller that
+iterates can start each round from the last one without a polar round
+trip. The two solves share their checks, not their loop.
 """
 
 from __future__ import annotations
@@ -62,18 +65,19 @@ def _check_loading(lam) -> None:
         raise ValueError(f"load multiplier must be finite and >= 0, got {lam!r}")
 
 
-def _check_distinct(hub_index, n: int) -> None:
+def _check_hub_index(hub_index, n: int, root: int) -> None:
     buses = [b % n for b in np.asarray(hub_index).tolist()]  # -1 names bus n - 1
     if len(set(buses)) != len(buses):  # pq[hub_index] -= ... keeps a repeated bus's last row
         raise ValueError(f"hub_index repeats bus index {max(buses, key=buses.count)}: {buses}")
+    if root in buses:  # the slack holds 1.0 pu, so its demand never enters the sweep
+        raise ValueError(f"hub_index names the slack bus, index {root}: {buses}")
 
 
 def _polar(v: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only |V| and angle of the phasors `v`, buses on axis 0, with
-    one solution per row; the slack entry is first set to exactly 1.0 pu."""
+    """Read-only |V| and angle of the phasors `v`; the slack entry is
+    first set to exactly 1.0 pu."""
     v[root] = _V_SLACK
-    v_pu = np.ascontiguousarray(np.abs(v).T)
-    angle_rad = np.ascontiguousarray(np.arctan2(v.imag, v.real).T)
+    v_pu, angle_rad = np.abs(v), np.arctan2(v.imag, v.real)
     v_pu.flags.writeable = angle_rad.flags.writeable = False
     return v_pu, angle_rad
 
@@ -89,11 +93,11 @@ def solve_power_flow(
     Every bus consumes `lam` times its base load (`Network.base_load_kw`).
     `hub_pq` is an (H, 2) array of injected (P_kw, Q_kvar), one row per
     bus index in `hub_index`, positive injecting into the grid (reduces
-    net demand at the bus); a repeated index is a `ValueError`. `hub_index`
-    without `hub_pq` injects nothing, and neither does an all-zero
-    `hub_pq`: such a solve is reused from the feeder's network when the
-    same `lam` was solved before (same object, same bits, same
-    `iterations`). The arrays of every solution are read-only.
+    net demand at the bus); a repeated index, or the slack bus's, is a
+    `ValueError`. `hub_index` without `hub_pq` injects nothing, and
+    neither does an all-zero `hub_pq`: such a solve is reused from the
+    feeder's network when the same `lam` was solved before (same object,
+    same bits, same `iterations`). The arrays of every solution are read-only.
     Non-convergence is reported via `converged=False`; voltages are then
     the last iterate, never a stale earlier state.
     """
@@ -109,7 +113,7 @@ def solve_power_flow(
     net = feeder.network
     injects = hub_pq is not None and np.count_nonzero(hub_pq)
     if injects:
-        _check_distinct(hub_index, len(feeder.buses))
+        _check_hub_index(hub_index, len(feeder.buses), feeder.slack_index)
     else:
         key = float(lam)
         kept = net.no_injection.get(key)
@@ -168,35 +172,38 @@ def solve_power_flows(
     lams,
     hub_index: np.ndarray,
     hub_pq: np.ndarray,
-    starts,
-) -> list[PowerFlowSolution]:
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """k independent solves of one feeder at once, one per column.
 
     Case j is `solve_power_flow(feeder, lams[j], hub_index, hub_pq[j])`,
     checked the same way, with `hub_pq` (k, H, 2), except that it starts
-    from `starts[j]` (a solution of this feeder, else `ValueError`, or
-    None) when it injects and that start converged. The sweep runs on
-    (n, k) arrays, so each product is one matrix-matrix product. Each
-    column stops on its own test (converged, non-finite or the iteration
-    cap) and then leaves the product. A lone flat-started column gives
-    `solve_power_flow`'s bits; among others its voltages agree to the
-    tolerance, as the product may sum in another order. The network's
-    no-injection solutions are neither read nor kept.
+    from column j of `start`, an (n, k) complex iterate (None: the flat
+    start). Returns the (n, k) phasors, the slack row exactly 1.0 pu,
+    and (k,) arrays of converged, iterations and max mismatch (inf when
+    not finite); a column that did not converge holds its last iterate.
+    The sweep runs on (n, k) arrays, so each product is one
+    matrix-matrix product. Each column stops on its own test (converged,
+    non-finite or the iteration cap) and then leaves the product. A lone
+    flat-started column gives `solve_power_flow`'s bits after `_polar`;
+    among others its voltages agree to the tolerance, as the product may
+    sum in another order. The network's no-injection solutions are
+    neither read nor kept, and `start` is not written.
     """
     for lam in lams:
         _check_loading(lam)
-    k = len(lams)
+    k, n = len(lams), len(feeder.buses)
     hub_pq = np.asarray(hub_pq, dtype=float)
     if hub_pq.shape != (k, len(hub_index), 2):
         raise ValueError(
             f"hub_pq must be ({k}, {len(hub_index)}, 2) for {k} cases on the "
             f"{len(hub_index)} buses of hub_index, got {hub_pq.shape}"
         )
-    _check_distinct(hub_index, len(feeder.buses))
-    if len(starts) != k:
-        raise ValueError(f"{k} cases but {len(starts)} starts")
-    if any(s is not None and s.bus_ids != feeder.bus_ids for s in starts):
-        raise ValueError("start is a solution of another feeder")
+    root = feeder.slack_index
+    _check_hub_index(hub_index, n, root)
+    if start is not None and np.shape(start) != (n, k):
+        raise ValueError(f"start must be ({n}, {k}) for {k} cases on {n} buses, "
+                         f"got {np.shape(start)}")
     net = feeder.network
     s_base_kw = feeder.base_mva * 1000.0
 
@@ -205,17 +212,14 @@ def solve_power_flows(
     pq[hub_index] -= hub_pq.transpose(1, 0, 2) / s_base_kw
     s_net = pq.view(np.complex128)[..., 0]
 
-    root = feeder.slack_index
-    v = np.full((len(feeder.buses), k), _V_SLACK)  # flat start
-    injects = np.count_nonzero(hub_pq, axis=(1, 2)) > 0
-    for j, start in enumerate(starts):
-        if injects[j] and start is not None and start.converged:
-            v[:, j] = start.v_pu * np.exp(1j * start.angle_rad)
+    # every column stops by the iteration cap, so each one is written
+    v = np.empty((n, k), np.complex128)
     iterations = np.zeros(k, dtype=int)
     mismatch = np.full(k, np.inf)
 
     # the columns still iterating, their voltages and their demand
-    cols, v_on, s_on = np.arange(k), v, s_net
+    cols, s_on = np.arange(k), s_net
+    v_on = np.full((n, k), _V_SLACK) if start is None else start
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for it in range(1, DEFAULT_MAX_ITERATIONS + 1):
             if not cols.size:
@@ -234,15 +238,5 @@ def solve_power_flows(
             mismatch[done] = np.where(np.isfinite(mm[stop]), mm[stop], np.inf)
             cols, v_on, s_on = cols[going], v_on[:, going], s_on[:, going]
 
-    v_pu, angle_rad = _polar(v, root)
-    return [
-        PowerFlowSolution(
-            bus_ids=feeder.bus_ids,
-            v_pu=v_pu[j],
-            angle_rad=angle_rad[j],
-            converged=bool(mismatch[j] <= DEFAULT_TOLERANCE_PU),
-            iterations=int(iterations[j]),
-            max_mismatch_pu=float(mismatch[j]),
-        )
-        for j in range(k)
-    ]
+    v[root] = _V_SLACK
+    return v, mismatch <= DEFAULT_TOLERANCE_PU, iterations, mismatch

@@ -61,6 +61,11 @@ def run_filename(run: RunResult) -> str:
 
 
 def build_report(runs: list[RunResult]) -> str:
+    return _report_body(runs, [hourly_csv(r) for r in runs])
+
+
+def _report_body(runs: list[RunResult], csvs: list[str]) -> str:
+    """The report of `runs`, given each run's hourly CSV text in order."""
     if not runs:
         raise ValueError("no runs to report")
     feeders = {r.feeder for r in runs}
@@ -90,9 +95,7 @@ def build_report(runs: list[RunResult]) -> str:
     def line(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
 
-    digest = hashlib.sha256(
-        "".join(hourly_csv(r) for r in runs).encode()
-    ).hexdigest()
+    digest = hashlib.sha256("".join(csvs).encode()).hexdigest()
     seeds = sorted({r.seed for r in runs})
 
     out = [
@@ -117,15 +120,15 @@ def write_report(runs: list[RunResult], out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    body = build_report(runs)
+    csvs = [hourly_csv(r) for r in runs]
+    body = _report_body(runs, csvs)
     report_path = out / "report.txt"
     report_path.write_text(body)
     paths["report"] = report_path
 
     hashes = {"report.txt": hashlib.sha256(body.encode()).hexdigest()}
-    for run in runs:
+    for run, text in zip(runs, csvs):
         name = run_filename(run)
-        text = hourly_csv(run)
         (out / name).write_text(text)
         paths[name] = out / name
         hashes[name] = hashlib.sha256(text.encode()).hexdigest()

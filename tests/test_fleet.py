@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import allocate_reference
 import fleet_reference as ref
 from voltfleet.fleet import (
     AllocationResult,
@@ -282,3 +284,58 @@ def test_allocate_invariants(pair, seq):
         # per-EV battery power seen through the SOC change (a clip only shrinks it)
         drawn = np.abs(fleet.soc - soc_before) * fleet.capacity_kwh * soh_before
         assert np.all(drawn <= caps * (1 + 1e-9) + 1e-6)
+
+
+# ---- allocate against its general arithmetic, bit for bit ----------------
+
+rail_socs = st.sampled_from((0.0, -0.0, 1.0)) | fractions
+rail_fractions = st.sampled_from((0.0, 1.0)) | fractions
+request_power = st.sampled_from((0.0, -0.0)) | st.floats(-3000.0, 3000.0)
+
+
+@st.composite
+def fleet_args(draw):
+    """FleetState keywords: empty fleets, SOC at both rails (and -0.0),
+    SOH at its floor, availability fractions 0 and 1."""
+    n = draw(st.integers(0, 12))
+    return dict(
+        soc=draw(st.lists(rail_socs, min_size=n, max_size=n)),
+        soh=draw(st.lists(st.just(1e-9) | st.floats(1e-3, 1.0), min_size=n, max_size=n)),
+        capacity_kwh=draw(st.floats(1.0, 200.0)),
+        c_rate=draw(st.floats(0.05, 3.0)),
+        eta_inv=draw(st.floats(0.5, 1.0)),
+        cycle_coeff=draw(st.floats(0.0, 1e-3)),
+        calendar_coeff=draw(st.sampled_from((0.0, 1e-4)) | st.floats(0.0, 1e-4)),
+        availability_schedule=tuple(draw(st.lists(rail_fractions, min_size=24, max_size=24))),
+        order=draw(st.permutations(range(n))),
+    )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _outcome(fn, p, q, fleet, hour):
+    try:
+        return _bits(dataclasses.astuple(fn(p, q, fleet, hour)))
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fleet_args(), st.lists(
+    st.tuples(st.sampled_from(((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)))
+              | st.tuples(st.sampled_from((0.0, -0.0)), request_power)  # Q only
+              | st.tuples(request_power, request_power),
+              st.integers(0, 47)),
+    min_size=1, max_size=30,
+))
+def test_allocate_has_the_bits_of_its_general_arithmetic(args, seq):
+    """Zero requests return early; every result, SOC and SOH bit is as if they had not."""
+    fleet, want = FleetState(**args), FleetState(**args)
+    for (p, q), hour in seq:
+        assert _outcome(allocate, p, q, fleet, hour) == _outcome(
+            allocate_reference.allocate, p, q, want, hour), (p, q, hour)
+        assert _bits(fleet.soc) == _bits(want.soc)
+        assert _bits(fleet.soh) == _bits(want.soh)
+        assert fleet.available.tolist() == want.available.tolist()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import voltfleet.fleet as fleet_module
 import voltfleet.droop as droop_module
 from voltfleet.droop import FP_TOL_KW, droop_control, fixed_point_setpoints
-from voltfleet.grid import solve_power_flow, solve_power_flows
+from voltfleet.grid import PowerFlowSolution, solve_power_flow, solve_power_flows
 from voltfleet.harness.cli import main
 from voltfleet.harness.evaluate import HourRecord, evaluate
 from voltfleet.harness.metrics import compute_metrics
@@ -271,6 +271,31 @@ def test_fixed_point_droop_self_consistent(five_bus_scenario):
 
     run = evaluate(sc, "droop")
     assert run.metrics.nonconverged_hours == 0
+
+
+def test_fixed_point_rounds_build_no_solution_and_no_phasor(monkeypatch):
+    """The rounds run on one phasor iterate: the observed solves give the
+    only exp, and no PowerFlowSolution is made."""
+    sc = _with_fixed_point(load_scenario("multi_hub_aggressive"), True)
+    _, _, want = _window_fixed_points(sc)
+    exps, made = [], []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            exps.append(np.shape(x))
+            return np.exp(x)
+
+    init = PowerFlowSolution.__init__
+    monkeypatch.setattr(droop_module, "np", CountingNumpy())
+    monkeypatch.setattr(PowerFlowSolution, "__init__",
+                        lambda self, *a, **kw: made.append(1) or init(self, *a, **kw))
+    _, lams, setpoints = _window_fixed_points(sc)
+    assert not made  # the observed solves are the network's kept ones
+    assert exps == [(len(lams), len(sc.feeder.buses))]
+    assert setpoints.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)

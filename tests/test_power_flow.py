@@ -15,6 +15,7 @@ from voltfleet.grid import (
     Hub,
     Line,
     LoadPoint,
+    PowerFlowSolution,
     build_feeder,
     load_feeder_file,
     solve_power_flow,
@@ -205,59 +206,41 @@ any_cases = st.one_of(
 )
 
 
-def _other_feeder_solution(feeder):
-    """A converged solution whose bus ids are not the feeder's."""
-    other = two_bus()
-    sol = solve_power_flow(other, 1.0)
-    if sol.bus_ids == feeder.bus_ids:
-        sol = solve_power_flow(load_feeder_file(feeder_path("ieee34_equiv")), 1.0)
-    return sol
+def _column(feeder, batch, j):
+    """Column j of a batched solve's result as the single solve would return it."""
+    v, converged, iterations, mismatch = batch
+    v_pu, angle_rad = powerflow._polar(v[:, j].copy(), feeder.slack_index)
+    return PowerFlowSolution(feeder.bus_ids, v_pu, angle_rad, bool(converged[j]),
+                             int(iterations[j]), float(mismatch[j]))
 
 
-def _lone(feeder, lam, hub_index, hub_pq, start):
-    """The solution of a one-column batched solve."""
-    [sol] = solve_power_flows(feeder, [lam], hub_index, hub_pq[None], [start])
-    return sol
-
-
-@settings(max_examples=150, deadline=None)
-@given(any_cases, st.floats(0.0, 4.0), st.floats(-1.0, 1.0))
-def test_start_is_ignored_on_a_solve_without_injection(case, start_lam, scale):
-    """A case without injection solves from the flat start, whatever its start."""
-    feeder, lam, injections = case
-    assume(injections)
-    hub_index, hub_pq = injection_arrays(feeder, injections)
-    start = solve_power_flow(feeder, start_lam, hub_index, scale * hub_pq)
-    zero = np.zeros_like(hub_pq)
-    with pytest.raises(ValueError, match="another feeder"):
-        _lone(feeder, lam, hub_index, zero, _other_feeder_solution(feeder))
-    got = _lone(feeder, lam, hub_index, zero, start)
-    assert _same_solution(got, solve_power_flow(dataclasses.replace(feeder), lam))
+def _lone(feeder, lam, hub_index, hub_pq, start=None):
+    """The solution of a one-column batched solve; `start` is an (n,) iterate or None."""
+    start = None if start is None else start[:, None]
+    return _column(feeder, solve_power_flows(feeder, [lam], hub_index, hub_pq[None], start), 0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(any_cases, st.floats(0.0, 4.0), st.floats(-1.0, 1.0))
-def test_warm_start_from_a_converged_solution_only(case, start_lam, scale):
-    """A converged start certifies the same balance; any other start is ignored."""
+@given(any_cases, st.floats(0.0, 4.0), st.floats(-1.0, 1.0), st.booleans())
+def test_warm_start_from_a_converged_iterate_certifies_the_balance(case, start_lam, scale, zero):
+    """A start from a converged iterate certifies the same balance as the flat start."""
     feeder, lam, injections = case
     assume(injections)
     hub_index, hub_pq = injection_arrays(feeder, injections)
+    if zero:
+        hub_pq = np.zeros_like(hub_pq)
     flat = solve_power_flow(feeder, lam, hub_index, hub_pq)
-    with pytest.raises(ValueError, match="another feeder"):
-        _lone(feeder, lam, hub_index, hub_pq, _other_feeder_solution(feeder))
+    assert _same_solution(_lone(feeder, lam, hub_index, hub_pq), flat)
     start = solve_power_flow(feeder, start_lam, hub_index, scale * hub_pq)
-    # a start that did not converge, real or relabelled, gives the flat solve's bits
-    failed = dataclasses.replace(start, converged=False) if start.converged else start
-    assert _same_solution(_lone(feeder, lam, hub_index, hub_pq, failed), flat)
-    if start.converged:
-        warm = _lone(feeder, lam, hub_index, hub_pq, start)
-        if warm.converged:
-            assert warm.max_mismatch_pu <= powerflow.DEFAULT_TOLERANCE_PU
-        if warm.converged and flat.converged:
-            assert np.max(np.abs(_phasors(warm) - _phasors(flat))) <= 1e-6
+    assume(start.converged)
+    warm = _lone(feeder, lam, hub_index, hub_pq, _phasors(start))
+    if warm.converged:
+        assert warm.max_mismatch_pu <= powerflow.DEFAULT_TOLERANCE_PU
+    if warm.converged and flat.converged:
+        assert np.max(np.abs(_phasors(warm) - _phasors(flat))) <= 1e-6
 
 
-START_KINDS = ("flat", "warm", "failed")
+START_KINDS = ("flat", "warm")
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,17 +249,19 @@ START_KINDS = ("flat", "warm", "failed")
                                         st.sampled_from(START_KINDS)),
                               min_size=1, max_size=6))
 def test_batched_solves_match_single_solves(case, columns):
-    """A column alone has the single solve's bits unless a converged start
-    warms it; among others its voltages agree with it alone to 1e-9 pu.
+    """A flat column alone has the single solve's bits; among others every
+    column's voltages agree with it alone to 1e-9 pu.
 
-    Columns mix loadings past the nose, zero injections and flat, warm and
-    non-converged starts, so some stop early and the rest go on without them.
+    Columns mix loadings past the nose, zero injections and flat starts
+    with starts from another solve's iterate, converged or not, so some
+    stop early and the rest go on without them.
     """
     feeder, start_lam, injections = case
     hub_index, hub_pq = injection_arrays(feeder, injections)
     warm = solve_power_flow(feeder, start_lam, hub_index, 0.5 * hub_pq)
-    failed = dataclasses.replace(warm, converged=False)
-    starts = [dict(flat=None, warm=warm, failed=failed)[kind] for _, _, kind in columns]
+    with np.errstate(all="ignore"):  # a diverged solve's phasors may not be finite
+        warm_v = _phasors(warm)
+    starts = [dict(flat=None, warm=warm_v)[kind] for _, _, kind in columns]
     lams = [lam for lam, _, _ in columns]
     pqs = np.stack([scale * hub_pq for _, scale, _ in columns])
     singles = [solve_power_flow(feeder, lam, hub_index, pq) for lam, pq in zip(lams, pqs)]
@@ -287,20 +272,24 @@ def test_batched_solves_match_single_solves(case, columns):
     table.update({float(lam): bogus for lam in lams})
     kept = dict(table)
     lones = [_lone(fresh, lam, hub_index, pq, start) for lam, pq, start in zip(lams, pqs, starts)]
-    for (_, _, kind), pq, lone, single in zip(columns, pqs, lones, singles):
-        if kind != "warm" or not np.count_nonzero(pq):
+    for (_, _, kind), lone, single in zip(columns, lones, singles):
+        if kind == "flat":
             assert _same_solution(lone, single)
-    batch = solve_power_flows(fresh, lams, hub_index, pqs, starts)
+    start = np.stack([np.ones(len(feeder.buses), complex) if s is None else s for s in starts],
+                     axis=1)
+    given_start = start.copy()
+    batch = solve_power_flows(fresh, lams, hub_index, pqs, start)
     assert table == kept  # neither read nor written
-    assert len(batch) == len(columns)
-    for got, lone in zip(batch, lones):
-        assert got.bus_ids == feeder.bus_ids
+    assert start.tobytes() == given_start.tobytes()  # the start is not written
+    v, converged, iterations, mismatch = batch
+    assert v.shape == (len(feeder.buses), len(columns))
+    assert converged.shape == iterations.shape == mismatch.shape == (len(columns),)
+    for j, lone in enumerate(lones):
+        got = _column(feeder, batch, j)
         assert got.converged == lone.converged
         if got.converged:
             assert got.max_mismatch_pu <= powerflow.DEFAULT_TOLERANCE_PU
             assert np.max(np.abs(_phasors(got) - _phasors(lone))) <= 1e-9
-        for arr in (got.v_pu, got.angle_rad):
-            assert not arr.flags.writeable
 
 
 def test_a_diverging_column_stops_no_other():
@@ -308,33 +297,36 @@ def test_a_diverging_column_stops_no_other():
     hub_index = np.array([feeder.bus_index("2")])
     lams = [1.0, 200.0, 0.5, 200.0, 2.0]  # 200: far past the line's transfer limit
     pqs = np.array([[[100.0, 50.0]], [[0.0, 0.0]], [[-80.0, 20.0]], [[300.0, 0.0]], [[0.0, 0.0]]])
-    batch = solve_power_flows(feeder, lams, hub_index, pqs, [None] * len(lams))
-    assert [sol.converged for sol in batch] == [True, False, True, False, True]
-    for lam, pq, got in zip(lams, pqs, batch):
+    batch = solve_power_flows(feeder, lams, hub_index, pqs)
+    assert batch[1].tolist() == [True, False, True, False, True]
+    for j, (lam, pq) in enumerate(zip(lams, pqs)):
+        got = _column(feeder, batch, j)
         single = solve_power_flow(feeder, lam, hub_index, pq)
         assert (got.converged, got.iterations) == (single.converged, single.iterations)
         if got.converged:
             assert np.max(np.abs(_phasors(got) - _phasors(single))) <= 1e-9
-        assert got.v_pu[feeder.slack_index] == 1.0
+        assert batch[0][feeder.slack_index, j] == 1.0
 
 
-@pytest.mark.parametrize("lams, pq_shape, other_start, match", [
-    ([math.nan, 1.0], (2, 1, 2), False, "load multiplier"),
-    ([1.0, math.inf], (2, 1, 2), False, "load multiplier"),
-    ([-0.1], (1, 1, 2), False, "load multiplier"),
-    ([1.0, 1.0], (2, 2, 2), False, "hub_pq"),
-    ([1.0, 1.0], (1, 1, 2), False, "hub_pq"),
-    ([1.0], (1, 2), False, "hub_pq"),
-    ([1.0, 1.0], (2, 1, 2), True, "another feeder"),
+@pytest.mark.parametrize("lams, pq_shape, start_shape, match", [
+    ([math.nan, 1.0], (2, 1, 2), None, "load multiplier"),
+    ([1.0, math.inf], (2, 1, 2), None, "load multiplier"),
+    ([-0.1], (1, 1, 2), None, "load multiplier"),
+    ([1.0, 1.0], (2, 2, 2), None, "hub_pq"),
+    ([1.0, 1.0], (1, 1, 2), None, "hub_pq"),
+    ([1.0], (1, 2), None, "hub_pq"),
+    ([1.0, 1.0], (2, 1, 2), (2,), "start"),
+    ([1.0, 1.0], (2, 1, 2), (2, 1), "start"),
+    ([1.0, 1.0], (2, 1, 2), (3, 2), "start"),
 ])
-def test_batched_solve_rejects_what_the_single_solve_rejects(lams, pq_shape, other_start, match):
+def test_batched_solve_rejects_what_the_single_solve_rejects(lams, pq_shape, start_shape, match):
     feeder = two_bus()
     hub_index = np.array([feeder.bus_index("2")])
-    starts = [_other_feeder_solution(feeder) if other_start else None] * len(lams)
+    start = None if start_shape is None else np.ones(start_shape, complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
-            solve_power_flows(feeder, lams, hub_index, np.full(pq_shape, 10.0), starts)
+            solve_power_flows(feeder, lams, hub_index, np.full(pq_shape, 10.0), start)
     assert not feeder.network.no_injection
 
 
@@ -442,7 +434,10 @@ def test_slack_voltage_pinned_exactly():
     hub = np.array([feeder.bus_index("2")])
     sols = [solve_power_flow(feeder, lam) for lam in (0.5, 1.0, 3.0)]
     sols.append(solve_power_flow(feeder, 1.0, hub, np.array([[200.0, -50.0]])))
-    sols += solve_power_flows(feeder, [0.5, 3.0], hub, np.full((2, 1, 2), 80.0), [None, sols[1]])
+    start = np.stack([np.ones(2, complex), _phasors(sols[1])], axis=1)
+    batch = solve_power_flows(feeder, [0.5, 3.0], hub, np.full((2, 1, 2), 80.0), start)
+    assert batch[0][feeder.slack_index].tolist() == [1.0, 1.0]
+    sols += [_column(feeder, batch, j) for j in range(2)]
     for sol in sols:
         assert sol.v_pu[feeder.slack_index] == 1.0  # bit-for-bit, not approx
         assert sol.angle_rad[feeder.slack_index] == 0.0
@@ -545,10 +540,31 @@ def test_repeated_hub_index_rejected(alias):
     with pytest.raises(ValueError, match=f"repeats bus index {i}"):
         solve_power_flow(feeder, 1.5, index, rows)
     with pytest.raises(ValueError, match=f"repeats bus index {i}"):
-        solve_power_flows(feeder, [1.5], index, rows[None], [None])
+        solve_power_flows(feeder, [1.5], index, rows[None])
     # without injection no row is dropped: the kept solve is handed back
     plain = solve_power_flow(feeder, 1.5)
     assert solve_power_flow(feeder, 1.5, index, np.zeros((2, 2))) is plain
+
+
+@pytest.mark.parametrize("alias", ["same", "negative"])
+def test_injection_at_the_slack_rejected(alias):
+    # the slack holds 1.0 pu and its demand never enters the sweep, so an
+    # injection there would be dropped without a trace
+    feeder = load_feeder_file(feeder_path("ieee34_equiv"))
+    i = feeder.slack_index
+    index = np.array([i if alias == "same" else i - len(feeder.buses)])
+    with pytest.raises(ValueError, match=f"slack bus, index {i}"):
+        solve_power_flow(feeder, 1.5, index, np.array([[300.0, 100.0]]))
+
+
+@pytest.mark.parametrize("alias", ["same", "negative"])
+def test_batched_injection_at_the_slack_rejected(alias):
+    feeder = load_feeder_file(feeder_path("ieee34_equiv"))
+    i = feeder.slack_index
+    hub = feeder.bus_index("890")
+    index = np.array([hub, i if alias == "same" else i - len(feeder.buses)])
+    with pytest.raises(ValueError, match=f"slack bus, index {i}"):
+        solve_power_flows(feeder, [1.5, 0.5], index, np.full((2, 2, 2), 100.0))
 
 
 def test_hub_index_without_injection_injects_nothing():
