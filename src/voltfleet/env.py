@@ -1,5 +1,12 @@
 """Voltage-regulation MDP around the feeder model.
 
+The env runs one `Scenario` as `EnvConfig(scenario, mode, phase)`. The
+scenario holds the feeder, the hubs, the loading, the V2G window and
+the non-convergence penalty, and checks their rules when it is built;
+the config adds only the mode (train: a random loading in the
+scenario's lambda range per step; eval: its 24-hour profile) and the
+phase (2: each hub delivers through its fleet).
+
 Observations are the bus voltage magnitudes of the *uncontrolled* solve
 at the current loading, so the agent sees the problem before acting.
 Actions are normalized hub setpoints in [-1, 1]^(2H): (p, q) per hub,
@@ -18,15 +25,14 @@ the delivered (P, Q), for the records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .fleet import FleetState, allocate
-from .grid import Feeder, Hub, solve_power_flow
-from .scenario import Scenario, check_distinct_hubs
+from .grid import Hub, solve_power_flow
+from .scenario import Scenario
 
 V_LOW_PU = 0.95
 V_HIGH_PU = 1.05
@@ -62,55 +68,26 @@ def action_to_setpoints(
 
 @dataclass(frozen=True)
 class EnvConfig:
-    feeder: Feeder
-    hub_buses: tuple[str, ...]
-    phase: int = 1
+    """A scenario run in one mode and phase; the scenario checks its own rules."""
+
+    scenario: Scenario
     mode: str = "train"  # train: random loading; eval: 24 h daily profile
-    episode_len: int = 100
-    lambda_range: tuple[float, float] = (0.1, 4.0)
-    profile: tuple[float, ...] | None = None
-    v2g_window: tuple[int, int] = (6, 23)
-    nonconvergence_penalty: float = -1000.0
+    phase: int = 1  # 1: setpoints delivered as asked; 2: through the hub fleets
 
     def __post_init__(self):
         if self.mode not in ("train", "eval"):
             raise ValueError("mode must be train or eval")
         if self.phase not in (1, 2):
             raise ValueError("phase must be 1 or 2")
-        if self.mode == "eval" and (self.profile is None or len(self.profile) != 24):
-            raise ValueError("eval mode needs a 24-hour profile")
-        hub_map = {h.bus for h in self.feeder.hubs}
-        missing = [b for b in self.hub_buses if b not in hub_map]
-        if missing:
-            raise ValueError(f"hub buses not on feeder: {missing}")
-        if not self.hub_buses:
-            raise ValueError("need at least one active hub")
-        check_distinct_hubs(self.hub_buses)
-        if self.episode_len < 1:
-            raise ValueError("episode_len must be >= 1")
-        lo, hi = self.lambda_range
-        if not 0.0 <= lo <= hi < math.inf:
-            raise ValueError("lambda_range needs 0 <= lo <= hi < inf")
-        if len(self.v2g_window) != 2 or not 0 <= self.v2g_window[0] < self.v2g_window[1] <= 24:
-            raise ValueError("v2g_window wants two hours: 0 <= start < end <= 24")
-        if not math.isfinite(self.nonconvergence_penalty):
-            raise ValueError("nonconvergence_penalty must be finite")
+
+    @property
+    def v2g_window(self) -> tuple[int, int]:
+        # read by perfbench/tracer.py:45, which counts the steps that deliver
+        return self.scenario.v2g_window
 
 
-def config_from_scenario(
-    scenario: Scenario, mode: str = "train", phase: int = 1
-) -> EnvConfig:
-    return EnvConfig(
-        feeder=scenario.feeder,
-        hub_buses=scenario.hub_buses,
-        phase=phase,
-        mode=mode,
-        episode_len=scenario.episode_len,
-        lambda_range=(scenario.lambda_min, scenario.lambda_max),
-        profile=scenario.profile,
-        v2g_window=scenario.v2g_window,
-        nonconvergence_penalty=scenario.nonconvergence_penalty,
-    )
+# the older name, still called by perfbench/workloads.py and the acceptance tests
+config_from_scenario = EnvConfig
 
 
 @dataclass(frozen=True)
@@ -131,10 +108,12 @@ class V2GEnv:
         seed: int | None = None,
     ):
         self.config = config
-        by_bus = {h.bus: h for h in config.feeder.hubs}
-        self.hubs: tuple[Hub, ...] = tuple(by_bus[b] for b in config.hub_buses)
+        # bound once, so a step reaches a scenario field in one lookup
+        self._scenario = sc = config.scenario
+        by_bus = {h.bus: h for h in sc.feeder.hubs}
+        self.hubs: tuple[Hub, ...] = tuple(by_bus[b] for b in sc.hub_buses)
         # per-hub arrays, in hub order: bus index and (p_max_kw, q_max_kvar)
-        self.hub_index = np.array([config.feeder.bus_index(b) for b in config.hub_buses])
+        self.hub_index = np.array([sc.feeder.bus_index(b) for b in sc.hub_buses])
         self.ratings = np.array([(h.p_max_kw, h.q_max_kvar) for h in self.hubs])
         # one fleet per hub, in hub order
         self.fleets: tuple[FleetState, ...] = tuple(fleets or ())
@@ -153,7 +132,7 @@ class V2GEnv:
 
     @property
     def observation_size(self) -> int:
-        return len(self.config.feeder.buses)
+        return len(self._scenario.feeder.buses)
 
     @property
     def action_size(self) -> int:
@@ -180,10 +159,11 @@ class V2GEnv:
         return self._sol
 
     def _solve(self, hub_pq=None):
-        return solve_power_flow(self.config.feeder, self._lam, self.hub_index, hub_pq)
+        return solve_power_flow(self._scenario.feeder, self._lam, self.hub_index, hub_pq)
 
     def _draw_lambda(self) -> None:
-        lo, hi = self.config.lambda_range
+        sc = self._scenario
+        lo, hi = sc.lambda_min, sc.lambda_max
         for _ in range(_MAX_RESAMPLES):
             self._lam = float(self._rng.uniform(lo, hi))
             self._sol = self._solve()
@@ -199,7 +179,7 @@ class V2GEnv:
         self._hour = 0
         self._done = False
         if self.config.mode == "eval":
-            self._lam = self.config.profile[0]
+            self._lam = self._scenario.profile[0]
             self._sol = self._solve()
         else:
             self._draw_lambda()
@@ -208,7 +188,7 @@ class V2GEnv:
     def _window_open(self) -> bool:
         if self.config.mode == "train":
             return True
-        lo, hi = self.config.v2g_window
+        lo, hi = self._scenario.v2g_window
         return lo <= self._hour < hi
 
     def step(self, action) -> StepResult:
@@ -236,7 +216,7 @@ class V2GEnv:
         if sol.converged:
             r = reward_from_voltages(sol.v_pu)
         else:
-            r = self.config.nonconvergence_penalty
+            r = self._scenario.nonconvergence_penalty
             self.nonconverged_steps += 1
 
         info = {
@@ -244,7 +224,7 @@ class V2GEnv:
             "hour": self._hour,
             "converged": sol.converged,
             "obs_converged": self._sol.converged,
-            "delivered": dict(zip(self.config.hub_buses, map(tuple, delivered.tolist()))),
+            "delivered": dict(zip(self._scenario.hub_buses, map(tuple, delivered.tolist()))),
             "rho": rho,
             "clamped": n_clamped,
             "solution": sol,
@@ -257,11 +237,11 @@ class V2GEnv:
             if self._hour >= 24:
                 self._done = True
             else:
-                self._lam = self.config.profile[self._hour]
+                self._lam = self._scenario.profile[self._hour]
                 self._sol = self._solve()
         else:
             self._hour = self._t % 24
-            if self._t >= self.config.episode_len:
+            if self._t >= self._scenario.episode_len:
                 self._done = True
             else:
                 self._draw_lambda()

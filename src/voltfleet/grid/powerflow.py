@@ -106,9 +106,10 @@ def solve_power_flow(
         # pq[None] would broadcast the injection onto every bus
         if hub_index is None:
             raise ValueError("hub_pq needs the hub_index of its rows")
-        if len(hub_index) != len(hub_pq):
+        if np.shape(hub_pq) != (len(hub_index), 2):
             raise ValueError(
-                f"hub_index has {len(hub_index)} buses but hub_pq has {len(hub_pq)} rows"
+                f"hub_pq must be ({len(hub_index)}, 2) for the {len(hub_index)} buses of "
+                f"hub_index, got {np.shape(hub_pq)}"
             )
     net = feeder.network
     injects = hub_pq is not None and np.count_nonzero(hub_pq)
@@ -172,14 +173,14 @@ def solve_power_flows(
     lams,
     hub_index: np.ndarray,
     hub_pq: np.ndarray,
-    start: np.ndarray | None = None,
+    start: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """k independent solves of one feeder at once, one per column.
 
     Case j is `solve_power_flow(feeder, lams[j], hub_index, hub_pq[j])`,
     checked the same way, with `hub_pq` (k, H, 2), except that it starts
-    from column j of `start`, an (n, k) complex iterate (None: the flat
-    start). Returns the (n, k) phasors, the slack row exactly 1.0 pu,
+    from column j of `start`, an (n, k) complex iterate (all ones: the
+    flat start). Returns the (n, k) phasors, the slack row exactly 1.0 pu,
     and (k,) arrays of converged, iterations and max mismatch (inf when
     not finite); a column that did not converge holds its last iterate.
     The sweep runs on (n, k) arrays, so each product is one
@@ -201,7 +202,7 @@ def solve_power_flows(
         )
     root = feeder.slack_index
     _check_hub_index(hub_index, n, root)
-    if start is not None and np.shape(start) != (n, k):
+    if np.shape(start) != (n, k):
         raise ValueError(f"start must be ({n}, {k}) for {k} cases on {n} buses, "
                          f"got {np.shape(start)}")
     net = feeder.network
@@ -218,8 +219,7 @@ def solve_power_flows(
     mismatch = np.full(k, np.inf)
 
     # the columns still iterating, their voltages and their demand
-    cols, s_on = np.arange(k), s_net
-    v_on = np.full((n, k), _V_SLACK) if start is None else start
+    cols, v_on, s_on = np.arange(k), start, s_net
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for it in range(1, DEFAULT_MAX_ITERATIONS + 1):
             if not cols.size:

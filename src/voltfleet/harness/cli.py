@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..env import V2GEnv, config_from_scenario
+from ..env import EnvConfig, V2GEnv
 from ..grid import load_feeder_file
 from ..sac import SacAgent, SacConfig
 from ..sac.train import divergence_dump_beside, train as sac_train
@@ -84,8 +84,7 @@ def _run_batch(scenario_names, controllers, policy, ev_constrained, seed):
 def _cmd_train(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    cfg = config_from_scenario(scenario, mode="train", phase=1)
-    env = V2GEnv(cfg, seed=seed)
+    env = V2GEnv(EnvConfig(scenario, mode="train"), seed=seed)
     agent = SacAgent(env.observation_size, env.action_size, seed=seed,
                      config=SacConfig())
     result = sac_train(

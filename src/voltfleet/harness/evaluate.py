@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ..droop import droop_control, fixed_point_setpoints
-from ..env import V2GEnv, config_from_scenario
+from ..env import EnvConfig, V2GEnv
 from ..fleet import available_count
 from ..grid import solve_power_flow
 from ..scenario import Scenario, build_fleets
@@ -71,9 +71,9 @@ def _fixed_point_actions(env: V2GEnv, scenario: Scenario) -> dict[int, np.ndarra
     they are iterated together. Each starts from the observed solve at
     its loading: the same solution the env observes in that hour.
     """
-    feeder = env.config.feeder
-    hours = range(*env.config.v2g_window)
-    lams = [env.config.profile[h] for h in hours]
+    feeder = scenario.feeder
+    hours = range(*scenario.v2g_window)
+    lams = [scenario.profile[h] for h in hours]
     observed = [solve_power_flow(feeder, lam) for lam in lams]
     setpoints = fixed_point_setpoints(feeder, lams, observed, env.hub_index, env.ratings,
                                       scenario.droop)
@@ -128,7 +128,7 @@ def evaluate(
         fleet_seq = np.random.SeedSequence(entropy=run_seed, spawn_key=(1,))
         fleets = build_fleets(scenario, fleet_seq)
 
-    cfg = config_from_scenario(scenario, mode="eval", phase=2 if ev_constrained else 1)
+    cfg = EnvConfig(scenario, mode="eval", phase=2 if ev_constrained else 1)
     env = V2GEnv(cfg, fleets=fleets, seed=run_seed)
 
     act: Callable[[np.ndarray], np.ndarray]

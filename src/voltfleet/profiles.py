@@ -18,9 +18,12 @@ def load_profile(name_or_path: str | Path) -> tuple[float, ...]:
             continue
         try:
             hour_tok, lam_tok = body.replace(",", " ").split()
-            values[int(hour_tok)] = float(lam_tok)
+            hour, lam = int(hour_tok), float(lam_tok)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: expected `hour,lambda`, got {raw!r}") from exc
+        if hour in values:
+            raise ValueError(f"{path}:{lineno}: hour {hour} is listed twice")
+        values[hour] = lam
     if sorted(values) != list(range(24)):
         raise ValueError(f"profile {name_or_path!r} must define hours 0..23 exactly")
     return check_multipliers(tuple(values[h] for h in range(24)), f"profile {name_or_path!r}")

@@ -4,7 +4,12 @@ A file holds a `[scenario]` section and optional `[fleet]` and `[droop]`
 sections. Each key is read once, into the field it sets on `Scenario`,
 `FleetSpec` or `DroopCurve`; a key the file leaves out takes the field's
 default. An unknown section or key, or any key under `[DEFAULT]`, is a
-ValueError naming the file, the section and the key.
+ValueError naming the file, the section and the key; so is a file that
+is not INI, such as one with a repeated key or section. The rules on
+the values live on those classes, so a hand-built `Scenario` is checked
+as a file is and a file's error names its file and section; only the
+load multipliers are checked as they are read (`profile_values`,
+`load_profile`).
 """
 
 from __future__ import annotations
@@ -68,6 +73,18 @@ class Scenario:
     droop: DroopCurve = field(default_factory=DroopCurve)
 
     def __post_init__(self):
+        on_feeder = {h.bus for h in self.feeder.hubs}
+        missing = [b for b in self.hub_buses if b not in on_feeder]
+        if missing:
+            raise ValueError(f"hubs not on feeder: {missing}")
+        if not self.hub_buses:
+            raise ValueError("needs at least one V2G hub")
+        # a bus listed twice would get two hub rows, and the solve keeps only one
+        repeated = sorted({b for b in self.hub_buses if self.hub_buses.count(b) > 1})
+        if repeated:
+            raise ValueError(f"hub buses listed more than once: {repeated}")
+        if len(self.profile) != 24:
+            raise ValueError(f"profile needs 24 hourly multipliers, got {len(self.profile)}")
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
         if not 0.0 <= self.lambda_min < self.lambda_max < math.inf:
@@ -76,14 +93,6 @@ class Scenario:
             raise ValueError("v2g_window wants two hours: 0 <= start < end <= 24")
         if not math.isfinite(self.nonconvergence_penalty):
             raise ValueError("nonconvergence_penalty must be finite")
-        check_distinct_hubs(self.hub_buses)
-
-
-def check_distinct_hubs(hub_buses: tuple[str, ...]) -> None:
-    """A bus listed twice would get two hub rows, and the solve keeps only one."""
-    repeated = sorted({b for b in hub_buses if hub_buses.count(b) > 1})
-    if repeated:
-        raise ValueError(f"hub buses listed more than once: {repeated}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -150,8 +159,12 @@ def _build(path: Path, section: str, cls, values: dict):
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
     path = scenario_path(str(name_or_path))
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path)
+    # values are read as written: a % is text, not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:  # a repeated key or section, a key before any section
+        raise ValueError(f"{path}: {exc}") from None
     for key in parser.defaults():
         raise ValueError(f"{path}: [DEFAULT] key {key!r}: scenario files take no defaults")
     for section in parser.sections():
@@ -169,8 +182,6 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     profile_name = values.pop("profile", "")
     if "profile_values" in values:
         profile = values.pop("profile_values")
-        if len(profile) != 24:
-            raise ValueError(f"{path}: [scenario] profile_values needs 24 hourly multipliers")
         check_multipliers(profile, f"{path}: [scenario] profile_values")
         profile_name = profile_name or "inline"
     elif profile_name:
@@ -179,16 +190,10 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         raise ValueError(f"{path}: [scenario] needs profile or profile_values")
 
     hubs_tok = values.pop("hubs", "all")
-    feeder_hub_buses = tuple(h.bus for h in feeder.hubs)
     if hubs_tok.lower() == "all":
-        hub_buses = feeder_hub_buses
+        hub_buses = tuple(h.bus for h in feeder.hubs)
     else:
         hub_buses = tuple(hubs_tok.replace(",", " ").split())
-        missing = [b for b in hub_buses if b not in feeder_hub_buses]
-        if missing:
-            raise ValueError(f"{path}: hubs not on feeder: {missing}")
-    if not hub_buses:
-        raise ValueError(f"{path}: scenario has no V2G hubs")
 
     return _build(path, "scenario", Scenario, dict(
         name=Path(path).stem,

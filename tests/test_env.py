@@ -14,7 +14,7 @@ from voltfleet.env import (
 from voltfleet.fleet import FleetState
 from voltfleet.grid import load_feeder_file, solve_power_flow
 from voltfleet.resources import feeder_path
-from voltfleet.scenario import build_fleets, load_scenario
+from voltfleet.scenario import Scenario, build_fleets, load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -27,24 +27,20 @@ def five_bus():
     return load_feeder_file(feeder_path("five_bus_train"))
 
 
-def eval_config(feeder, lam=1.0, **kw):
-    return EnvConfig(
-        feeder=feeder,
-        hub_buses=tuple(h.bus for h in feeder.hubs),
-        mode="eval",
-        profile=(lam,) * 24,
-        **kw,
-    )
+def small_scenario(feeder, lam=1.0, **kw):
+    """Every hub of the feeder under a flat profile at `lam`; `kw` sets other fields."""
+    return Scenario(name="small", feeder_name="small", feeder=feeder, profile_name="flat",
+                    profile=(lam,) * 24, hub_buses=tuple(h.bus for h in feeder.hubs), **kw)
 
 
-def train_config(feeder, lam_range=(0.1, 4.0), **kw):
-    return EnvConfig(
-        feeder=feeder,
-        hub_buses=tuple(h.bus for h in feeder.hubs),
-        mode="train",
-        lambda_range=lam_range,
-        **kw,
-    )
+def eval_config(feeder, lam=1.0, phase=1, **kw):
+    return EnvConfig(small_scenario(feeder, lam, **kw), mode="eval", phase=phase)
+
+
+def train_config(feeder, lam_range=(0.1, 4.0), phase=1, **kw):
+    lo, hi = lam_range
+    scenario = small_scenario(feeder, lambda_min=lo, lambda_max=hi, **kw)
+    return EnvConfig(scenario, mode="train", phase=phase)
 
 
 # reward shape: 10.0 in band, else -100 per pu-sum of band distance
@@ -89,41 +85,51 @@ def test_clipped_actions_stay_within_ratings(five_bus):
 
 
 def test_config_validation(two_bus):
-    with pytest.raises(ValueError, match="profile"):
-        EnvConfig(feeder=two_bus, hub_buses=("2",), mode="eval")
+    scenario = small_scenario(two_bus)
+    assert [f.name for f in dataclasses.fields(EnvConfig)] == ["scenario", "mode", "phase"]
+    assert config_from_scenario is EnvConfig
     with pytest.raises(ValueError, match="mode"):
-        EnvConfig(feeder=two_bus, hub_buses=("2",), mode="test")
-    with pytest.raises(ValueError, match="hub"):
-        EnvConfig(feeder=two_bus, hub_buses=("1",))
+        EnvConfig(scenario, mode="test")
     with pytest.raises(ValueError, match="phase"):
-        EnvConfig(feeder=two_bus, hub_buses=("2",), phase=3)
+        EnvConfig(scenario, phase=3)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("nonconvergence_penalty", float("nan")),
-        ("nonconvergence_penalty", -float("inf")),
-        ("episode_len", 0),
-        ("v2g_window", (23, 6)),
-        ("v2g_window", (6, 25)),
-        ("v2g_window", (6,)),
-        ("lambda_range", (2.0, 1.0)),
-        ("lambda_range", (float("nan"), 1.0)),
-        ("lambda_range", (0.5, float("inf"))),
-        ("lambda_range", (-0.1, 1.0)),
-    ],
-)
-def test_config_rejects_values_that_break_a_run(field, value):
-    cfg = config_from_scenario(load_scenario("five_bus_train"))
-    with pytest.raises(ValueError, match=field):
-        dataclasses.replace(cfg, **{field: value})
+SCENARIO_BREAKS = [
+    (dict(nonconvergence_penalty=float("nan")), "nonconvergence_penalty"),
+    (dict(nonconvergence_penalty=-float("inf")), "nonconvergence_penalty"),
+    (dict(episode_len=0), "episode_len"),
+    (dict(v2g_window=(23, 6)), "v2g_window"),
+    (dict(v2g_window=(6, 25)), "v2g_window"),
+    (dict(v2g_window=(6,)), "v2g_window"),
+    (dict(lambda_min=2.0, lambda_max=1.0), "lambda_max"),
+    (dict(lambda_min=1.0, lambda_max=1.0), "lambda_max"),
+    (dict(lambda_min=float("nan")), "lambda_min"),
+    (dict(lambda_max=float("inf")), "lambda_max"),
+    (dict(lambda_min=-0.1), "lambda_min"),
+    # a hand-built scenario is held to the rules a scenario file is
+    (dict(hub_buses=("4",)), r"hubs not on feeder: \['4'\]"),
+    (dict(hub_buses=("5", "99")), r"hubs not on feeder: \['99'\]"),
+    (dict(hub_buses=()), "needs at least one V2G hub"),
+    (dict(profile=(1.0,) * 23), "profile needs 24 hourly multipliers, got 23"),
+]
+
+
+@pytest.mark.parametrize("changes, match", [
+    # a profile is named by its length
+    pytest.param(changes, match, id=",".join(
+        f"{k}={len(v) if k == 'profile' else v}" for k, v in changes.items()))
+    for changes, match in SCENARIO_BREAKS
+])
+def test_config_rejects_values_that_break_a_run(changes, match):
+    scenario = load_scenario("five_bus_train")
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(scenario, **changes)
 
 
 def test_config_rejects_a_repeated_hub_bus():
-    cfg = config_from_scenario(load_scenario("multi_hub_mild"))
+    scenario = load_scenario("multi_hub_mild")
     with pytest.raises(ValueError, match=r"more than once: \['844'\]"):
-        dataclasses.replace(cfg, hub_buses=("890", "844", "844"))
+        dataclasses.replace(scenario, hub_buses=("890", "844", "844"))
 
 
 def test_phase2_requires_fleets(two_bus):
@@ -170,8 +176,7 @@ def test_zero_action_scores_uncontrolled_grid(two_bus):
 
 
 def test_injection_raises_reward_on_sagging_feeder(two_bus):
-    cfg = train_config(two_bus, lam_range=(1.0, 1.0))
-    env = V2GEnv(cfg, seed=0)
+    env = V2GEnv(eval_config(two_bus, lam=1.0, v2g_window=(0, 24)))
     env.reset()
     passive = env.step(np.zeros(2)).reward
     env.reset()
@@ -198,8 +203,7 @@ def test_window_open_passes_action_through(two_bus):
 
 
 def test_out_of_range_action_clamped_and_counted(two_bus):
-    cfg = train_config(two_bus, lam_range=(1.0, 1.0))
-    env = V2GEnv(cfg, seed=0)
+    env = V2GEnv(eval_config(two_bus, lam=1.0, v2g_window=(0, 24)))
     env.reset()
     r_clamped = env.step(np.array([2.0, -3.0])).reward
     assert env.clamp_events == 2
@@ -326,10 +330,8 @@ def test_phase2_scales_delivery_when_fleet_is_small(five_bus):
     tiny = FleetState(
         soc=[0.5], soh=[1.0], capacity_kwh=20.0, c_rate=0.5, eta_inv=0.96
     )
-    cfg = train_config(
-        five_bus, lam_range=(1.0, 1.0), phase=2
-    )
-    env = V2GEnv(cfg, fleets=[tiny], seed=0)
+    cfg = eval_config(five_bus, lam=1.0, phase=2, v2g_window=(0, 24))
+    env = V2GEnv(cfg, fleets=[tiny])
     env.reset()
     res = env.step(np.array([1.0, 0.0]))  # asks for 500 kW from a 10 kW fleet
     rho = res.info["rho"][0]

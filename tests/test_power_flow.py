@@ -214,9 +214,14 @@ def _column(feeder, batch, j):
                              int(iterations[j]), float(mismatch[j]))
 
 
+def _flat(feeder, k):
+    """The flat start of k batched cases."""
+    return np.ones((len(feeder.buses), k), complex)
+
+
 def _lone(feeder, lam, hub_index, hub_pq, start=None):
-    """The solution of a one-column batched solve; `start` is an (n,) iterate or None."""
-    start = None if start is None else start[:, None]
+    """The solution of a one-column batched solve; `start` is an (n,) iterate or None (flat)."""
+    start = _flat(feeder, 1) if start is None else start[:, None]
     return _column(feeder, solve_power_flows(feeder, [lam], hub_index, hub_pq[None], start), 0)
 
 
@@ -297,7 +302,7 @@ def test_a_diverging_column_stops_no_other():
     hub_index = np.array([feeder.bus_index("2")])
     lams = [1.0, 200.0, 0.5, 200.0, 2.0]  # 200: far past the line's transfer limit
     pqs = np.array([[[100.0, 50.0]], [[0.0, 0.0]], [[-80.0, 20.0]], [[300.0, 0.0]], [[0.0, 0.0]]])
-    batch = solve_power_flows(feeder, lams, hub_index, pqs)
+    batch = solve_power_flows(feeder, lams, hub_index, pqs, _flat(feeder, len(lams)))
     assert batch[1].tolist() == [True, False, True, False, True]
     for j, (lam, pq) in enumerate(zip(lams, pqs)):
         got = _column(feeder, batch, j)
@@ -322,7 +327,7 @@ def test_a_diverging_column_stops_no_other():
 def test_batched_solve_rejects_what_the_single_solve_rejects(lams, pq_shape, start_shape, match):
     feeder = two_bus()
     hub_index = np.array([feeder.bus_index("2")])
-    start = None if start_shape is None else np.ones(start_shape, complex)
+    start = _flat(feeder, len(lams)) if start_shape is None else np.ones(start_shape, complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
@@ -512,8 +517,9 @@ def test_injection_raises_local_voltage():
     "index, pq, match",
     [
         (None, [[300.0, 100.0]], "needs the hub_index"),
-        ([1], [[300.0, 100.0], [10.0, 0.0]], "1 buses but hub_pq has 2 rows"),
-        ([0, 1], [[300.0, 100.0]], "2 buses but hub_pq has 1 rows"),
+        ([1], [[300.0, 100.0], [10.0, 0.0]], r"must be \(1, 2\) for the 1 buses .* got \(2, 2\)"),
+        ([0, 1], [[300.0, 100.0]], r"must be \(2, 2\) for the 2 buses .* got \(1, 2\)"),
+        ([1], [[300.0, 100.0, 0.0]], r"must be \(1, 2\) for the 1 buses .* got \(1, 3\)"),
     ],
 )
 def test_injection_without_or_misaligned_index_rejected(index, pq, match):
@@ -523,6 +529,15 @@ def test_injection_without_or_misaligned_index_rejected(index, pq, match):
     pq = None if pq is None else np.array(pq)
     with pytest.raises(ValueError, match=match):
         solve_power_flow(feeder, 1.0, index, pq)
+
+
+def test_one_row_for_two_hubs_rejected():
+    # a flat (2,) row is as long as a two-hub index, and would be broadcast
+    # onto both hubs: the solve of [[300, 100], [300, 100]], bit for bit
+    feeder = load_feeder_file(feeder_path("ieee34_equiv"))
+    index = np.array([feeder.bus_index("890"), feeder.bus_index("844")])
+    with pytest.raises(ValueError, match=r"must be \(2, 2\) for the 2 buses .* got \(2,\)"):
+        solve_power_flow(feeder, 1.5, index, np.array([300.0, 100.0]))
 
 
 @pytest.mark.parametrize("alias", ["same", "negative"])
@@ -540,7 +555,7 @@ def test_repeated_hub_index_rejected(alias):
     with pytest.raises(ValueError, match=f"repeats bus index {i}"):
         solve_power_flow(feeder, 1.5, index, rows)
     with pytest.raises(ValueError, match=f"repeats bus index {i}"):
-        solve_power_flows(feeder, [1.5], index, rows[None])
+        solve_power_flows(feeder, [1.5], index, rows[None], _flat(feeder, 1))
     # without injection no row is dropped: the kept solve is handed back
     plain = solve_power_flow(feeder, 1.5)
     assert solve_power_flow(feeder, 1.5, index, np.zeros((2, 2))) is plain
@@ -564,7 +579,7 @@ def test_batched_injection_at_the_slack_rejected(alias):
     hub = feeder.bus_index("890")
     index = np.array([hub, i if alias == "same" else i - len(feeder.buses)])
     with pytest.raises(ValueError, match=f"slack bus, index {i}"):
-        solve_power_flows(feeder, [1.5, 0.5], index, np.full((2, 2, 2), 100.0))
+        solve_power_flows(feeder, [1.5, 0.5], index, np.full((2, 2, 2), 100.0), _flat(feeder, 2))
 
 
 def test_hub_index_without_injection_injects_nothing():

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_env import train_config
+
 import voltfleet.sac.replay as replay_mod
-from voltfleet.env import V2GEnv, EnvConfig
+from voltfleet.env import V2GEnv
 from voltfleet.grid import load_feeder_file
 from voltfleet.resources import feeder_path
 from voltfleet.sac import Adam, ReplayBuffer, SacAgent, SacConfig, Tensor
@@ -345,14 +347,7 @@ def test_load_rejects_missing_key(tmp_path, key):
 @pytest.fixture(scope="module")
 def five_bus_env():
     feeder = load_feeder_file(feeder_path("five_bus_train"))
-    cfg = EnvConfig(
-        feeder=feeder,
-        hub_buses=("5",),
-        mode="train",
-        episode_len=25,
-        lambda_range=(0.5, 2.0),
-    )
-    return V2GEnv(cfg, seed=0)
+    return V2GEnv(train_config(feeder, lam_range=(0.5, 2.0), episode_len=25), seed=0)
 
 
 def test_train_smoke_and_history_csv(tmp_path, five_bus_env):

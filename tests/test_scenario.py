@@ -69,6 +69,15 @@ def test_profile_non_finite_rejected(tmp_path, bad):
         load_profile(p)
 
 
+def test_profile_repeated_hour_names_file_and_line(tmp_path):
+    rows = ["hour,lambda"] + [f"{h},1.0" for h in range(24)]
+    rows.insert(9, "5,9.0")
+    p = tmp_path / "twice.csv"
+    p.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"twice\.csv:10: hour 5 is listed twice"):
+        load_profile(p)
+
+
 def test_profile_row_with_extra_field_names_file_and_line(tmp_path):
     rows = ["hour,lambda"] + [f"{h},1.0" for h in range(24)]
     rows[6] = "5,1.0,0.3"
@@ -148,13 +157,15 @@ def test_inline_profile_values(tmp_path):
         ("[scenario]\nprofile = mild\n", "feeder"),
         ("[scenario]\nfeeder = two_bus\n", "profile"),
         (BASE_INI.replace("hubs = 2", "hubs = 99"), "hubs"),
+        (BASE_INI.replace("hubs = 2", "hubs = 1"), r"case\.ini: \[scenario\] hubs not on feeder"),
+        (BASE_INI.replace("hubs = 2", "hubs ="), r"case\.ini: \[scenario\] needs at least one"),
         (BASE_INI + "phase = 3\n", "phase"),
         (BASE_INI + "lambda_min = 2.0\nlambda_max = 1.0\n", "lambda"),
         (BASE_INI + "lambda_mode = hourly\n", "lambda_mode"),
         (BASE_INI + "v2g_window = 23 6\n", "v2g_window"),
         (
             "[scenario]\nfeeder = two_bus\nprofile_values = 1.0 1.0\n",
-            "profile_values",
+            r"case\.ini: \[scenario\] profile needs 24 hourly multipliers, got 2",
         ),
         *(
             ("[scenario]\nfeeder = two_bus\nprofile_values = " + " ".join(["1.0"] * 23 + [bad]),
@@ -194,6 +205,11 @@ def test_inline_profile_values(tmp_path):
         (BASE_INI + "lamda_max = 2.0\n", r"\[scenario\] unknown key 'lamda_max'"),
         (BASE_INI + "[droop]\nfixed_point = maybe\n", r"\[droop\] fixed_point"),
         ("[DEFAULT]\nev_count = 3\n" + BASE_INI, r"\[DEFAULT\] key 'ev_count'"),
+        # INI syntax errors; a % is text, not an interpolation
+        (BASE_INI + "hubs = 2\n", r"case\.ini: .*option 'hubs' in section 'scenario' already"),
+        (BASE_INI + "[scenario]\nseed = 3\n", r"case\.ini: .*section 'scenario' already"),
+        ("seed = 3\n" + BASE_INI, r"case\.ini: .*no section headers"),
+        (BASE_INI + "lambda_max = 2%\n", r"case\.ini: \[scenario\] lambda_max: .*'2%'"),
     ],
 )
 def test_malformed_scenarios_rejected(tmp_path, body, fragment):
