@@ -11,7 +11,7 @@ import numpy as np
 
 from ..env import EnvConfig, V2GEnv
 from ..grid import load_feeder_file
-from ..sac import SacAgent, SacConfig
+from ..sac import SacAgent
 from ..sac.train import divergence_dump_beside, train as sac_train
 from ..scenario import load_scenario
 from .evaluate import CONTROLLERS, evaluate
@@ -61,32 +61,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_batch(scenario_names, controllers, policy, ev_constrained, seed):
+    scenarios = [load_scenario(name) for name in scenario_names]
+    # by loaded name: a name and a path with the same stem write one CSV name
+    for kind, names in (("scenario", [sc.name for sc in scenarios]),
+                        ("controller", controllers)):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"each {kind} may be given once; repeated: {', '.join(repeated)}")
+    if "rl" in controllers and policy is None:
+        raise ValueError("--policy is required for the rl controller")
     # evaluate() checks the policy's sizes against each scenario
     agent = None if policy is None else SacAgent.restore(policy)
-    runs = []
-    for name in scenario_names:
-        scenario = load_scenario(name)
-        for ctrl in controllers:
-            if ctrl == "rl" and agent is None:
-                raise ValueError("--policy is required for the rl controller")
-            runs.append(
-                evaluate(
-                    scenario,
-                    controller=ctrl,
-                    agent=agent,
-                    ev_constrained=ev_constrained,
-                    seed=seed,
-                )
-            )
-    return runs
+    return [
+        evaluate(sc, controller=ctrl, agent=agent, ev_constrained=ev_constrained, seed=seed)
+        for sc in scenarios
+        for ctrl in controllers
+    ]
 
 
 def _cmd_train(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
     env = V2GEnv(EnvConfig(scenario, mode="train"), seed=seed)
-    agent = SacAgent(env.observation_size, env.action_size, seed=seed,
-                     config=SacConfig())
+    agent = SacAgent(env.observation_size, env.action_size, seed=seed)
     result = sac_train(
         env,
         agent,

@@ -28,32 +28,36 @@ def frozen(params: list[Tensor]):
 
 DTYPES = ("float32", "float64")
 
+# the standard soft actor-critic values (Haarnoja et al. 2018, arXiv:1812.05905,
+# Table 1); the target entropy is -act_dim and the replay capacity is
+# ReplayBuffer's default
+GAMMA = 0.99
+TAU = 5e-3
+LR = 3e-4
+ALPHA_INIT = 0.2
+
 
 @dataclasses.dataclass(frozen=True)
 class SacConfig:
-    gamma: float = 0.99
-    tau: float = 5e-3
-    lr: float = 3e-4
     batch_size: int = 256
-    alpha_init: float = 0.2
-    target_entropy: float | None = None  # default: -act_dim
-    replay_capacity: int = 1_000_000
     # nets, Adam moments, log_alpha and replay storage; act() returns float64
     dtype: str = "float32"
 
     def __post_init__(self):
+        if type(self.batch_size) is not int or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an int >= 1, not {self.batch_size!r}")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {DTYPES}, not {self.dtype!r}")
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float = 3e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -64,14 +68,14 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * p.grad
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * p.grad**2
-            p.data -= self.lr * (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * p.grad
+            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * p.grad**2
+            p.data -= self.lr * (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c) + self.EPS)
 
 
 class SacAgent:
@@ -92,25 +96,16 @@ class SacAgent:
         for p in self.q1_target.params() + self.q2_target.params():
             p.requires_grad = False
 
-        self.log_alpha = Tensor(
-            np.asarray(np.log(self.config.alpha_init), dtype=dtype), requires_grad=True
-        )
-        self.target_entropy = (
-            -float(act_dim)
-            if self.config.target_entropy is None
-            else self.config.target_entropy
-        )
+        self.log_alpha = Tensor(np.asarray(np.log(ALPHA_INIT), dtype=dtype), requires_grad=True)
+        self.target_entropy = -float(act_dim)
 
-        lr = self.config.lr
-        self.critic_opt = Adam(self.q1.params() + self.q2.params(), lr=lr)
-        self.actor_opt = Adam(self.policy.params(), lr=lr)
-        self.alpha_opt = Adam([self.log_alpha], lr=lr)
+        self.critic_opt = Adam(self.q1.params() + self.q2.params(), LR)
+        self.actor_opt = Adam(self.policy.params(), LR)
+        self.alpha_opt = Adam([self.log_alpha], LR)
 
         self._noise_rng = np.random.default_rng(k_noise)
-        self.replay = ReplayBuffer(
-            obs_dim, act_dim, self.config.replay_capacity,
-            rng=np.random.default_rng(k_replay), dtype=dtype,
-        )
+        self.replay = ReplayBuffer(obs_dim, act_dim, rng=np.random.default_rng(k_replay),
+                                   dtype=dtype)
         self.updates = 0
 
     @property
@@ -128,20 +123,18 @@ class SacAgent:
         return a[0] if np.ndim(obs) == 1 else a
 
     def _polyak(self) -> None:
-        tau = self.config.tau
         for online, target in (
             (self.q1, self.q1_target),
             (self.q2, self.q2_target),
         ):
             for p, pt in zip(online.params(), target.params()):
-                pt.data *= 1.0 - tau
-                pt.data += tau * p.data
+                pt.data *= 1.0 - TAU
+                pt.data += TAU * p.data
 
     def update(self, batch: dict[str, np.ndarray]) -> dict[str, float]:
         """One gradient step on critics, actor and temperature, then polyak.
 
         The batch is cast to the agent's dtype first."""
-        cfg = self.config
         batch = {k: np.asarray(v, dtype=self.dtype) for k, v in batch.items()}
         obs = Tensor(batch["obs"])
         act = Tensor(batch["act"])
@@ -156,7 +149,7 @@ class SacAgent:
             self.q2_target.forward_np(batch["next_obs"], next_a.data),
         )
         soft_next = q_next - self.alpha * next_logp.data
-        y = batch["rew"][:, None] + cfg.gamma * (1.0 - batch["done"][:, None]) * soft_next
+        y = batch["rew"][:, None] + GAMMA * (1.0 - batch["done"][:, None]) * soft_next
 
         # critics
         self.critic_opt.zero_grad()
@@ -272,13 +265,11 @@ class SacAgent:
         self.updates = int(meta[2])
 
     @classmethod
-    def restore(cls, path, seed: int = 0, config: SacConfig | None = None) -> "SacAgent":
-        """A new agent loaded from `path`, built in the checkpoint's dtype
-        whatever `config.dtype` says."""
+    def restore(cls, path) -> "SacAgent":
+        """A new agent loaded from `path`, built in the checkpoint's dtype."""
         with np.load(cls._npz(path)) as blob:
             meta = cls._meta(blob, path)
             dtype = cls._dtype(blob, path)
-        config = dataclasses.replace(config or SacConfig(), dtype=dtype)
-        agent = cls(int(meta[0]), int(meta[1]), seed=seed, config=config)
+        agent = cls(int(meta[0]), int(meta[1]), config=SacConfig(dtype=dtype))
         agent.load(path)
         return agent

@@ -20,7 +20,7 @@ from voltfleet.harness.evaluate import HourRecord, evaluate
 from voltfleet.harness.metrics import compute_metrics
 from voltfleet.harness.report import build_report, hourly_csv, run_filename, write_report
 from voltfleet.env import V2GEnv, config_from_scenario
-from voltfleet.resources import feeder_path
+from voltfleet.resources import feeder_path, scenario_path
 from voltfleet.sac import SacAgent, SacConfig
 from voltfleet.scenario import load_scenario
 
@@ -456,6 +456,29 @@ def test_cli_report_writes_batch(tmp_path, capsys):
     assert (tmp_path / "rep" / "multi_hub_mild_none.csv").exists()
 
 
+@pytest.mark.parametrize("command, scenarios, controllers, repeated", [
+    ("report", ["single_hub_mild", "single_hub_mild"], ["droop"], "scenario"),
+    ("report", ["single_hub_mild"], ["droop", "none", "droop"], "controller"),
+    # a name and a path to the same file load one scenario name
+    ("report", ["single_hub_mild", str(scenario_path("single_hub_mild"))], ["none"],
+     "scenario"),
+    ("eval", ["single_hub_mild"], ["none", "none"], "controller"),
+], ids=["scenario", "controller", "name_and_path", "eval_controller"])
+def test_cli_rejects_a_repeated_run_before_any_day(tmp_path, capsys, monkeypatch,
+                                                   command, scenarios, controllers, repeated):
+    days = []
+    monkeypatch.setattr("voltfleet.harness.cli.evaluate", lambda *a, **kw: days.append(a))
+    flag = "--scenarios" if command == "report" else "--scenario"
+    rc = main([command, flag, *scenarios, "--controllers", *controllers,
+               "--out-dir", str(tmp_path / "rep")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ValueError"
+    assert f"each {repeated} may be given once" in err["error"]
+    assert days == []
+    assert not (tmp_path / "rep").exists()
+
+
 def test_cli_policy_dimension_mismatch(tmp_path, capsys):
     ckpt = tmp_path / "p5.npz"
     SacAgent(5, 2, seed=0).save(ckpt)
@@ -481,6 +504,20 @@ def test_cli_train_smoke(tmp_path, capsys):
     assert ckpt.exists()
     agent = SacAgent.restore(ckpt)
     assert agent.obs_dim == 5
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--warmup"])
+def test_cli_train_rejects_a_negative_count_before_any_step(tmp_path, capsys, flag):
+    ckpt = tmp_path / "ck.npz"
+    rc = main([
+        "train", "--scenario", "five_bus_train", "--steps", "3", "--warmup", "0",
+        flag, "-5", "--out", str(ckpt), "--seed", "5",
+    ])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ValueError"
+    assert "must be >= 0, not -5" in err["error"]
+    assert not ckpt.exists()
 
 
 # ---- byte-identity pins of the shipped 34-bus days -------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import tempfile
@@ -9,12 +10,13 @@ import pytest
 from test_env import train_config
 
 import voltfleet.sac.replay as replay_mod
-from voltfleet.env import V2GEnv
+from voltfleet.env import EnvConfig, V2GEnv
 from voltfleet.grid import load_feeder_file
 from voltfleet.resources import feeder_path
 from voltfleet.sac import Adam, ReplayBuffer, SacAgent, SacConfig, Tensor
-from voltfleet.sac.agent import frozen
+from voltfleet.sac.agent import TAU, frozen
 from voltfleet.sac.train import episode_return, train
+from voltfleet.scenario import load_scenario
 
 
 def small_agent(seed=0, **kw):
@@ -136,6 +138,10 @@ def test_config_accepts_only_two_dtypes():
     for bad in ("float16", "f4", np.float32, "int32"):
         with pytest.raises(ValueError, match="dtype"):
             SacConfig(dtype=bad)
+    assert SacConfig(batch_size=1).batch_size == 1
+    for bad in (0, -3, 2.5, 32.0, "32", True, None):
+        with pytest.raises(ValueError, match="batch_size"):
+            SacConfig(batch_size=bad)
 
 
 def test_dtypes_share_the_seeded_draws():
@@ -172,13 +178,12 @@ def test_same_seed_same_agent():
 
 def test_polyak_update_is_exact_blend():
     agent = small_agent(seed=0)
-    tau = agent.config.tau
     online = agent.q1.params()[0]
     target = agent.q1_target.params()[0]
     before = target.data.copy()
     online.data = online.data + 1.0
     agent._polyak()
-    expected = (1.0 - tau) * before + tau * online.data
+    expected = (1.0 - TAU) * before + TAU * online.data
     assert np.allclose(target.data, expected, atol=1e-15)
 
 
@@ -221,6 +226,26 @@ def test_frozen_restores_each_flag_on_error():
     assert w.requires_grad and not c.requires_grad
 
 
+# sha256 over the parameters (sorted keys, raw bytes) after 20 seeded
+# updates of a float32 agent on five_bus_train's sizes; a change that keeps
+# the update's arithmetic keeps every bit
+UPDATE_DIGEST = "21465fdde6bdfa7283d48b2788dce029311e2c09e995a52381b84d079fa6b58b"
+
+
+def test_update_bits_pinned():
+    env = V2GEnv(EnvConfig(load_scenario("five_bus_train")), seed=0)
+    obs_dim, act_dim = env.observation_size, env.action_size
+    agent = SacAgent(obs_dim, act_dim, seed=7, config=SacConfig(batch_size=32))
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        agent.update(random_batch(rng, obs_dim=obs_dim, act_dim=act_dim))
+    h = hashlib.sha256()
+    for key, t in sorted(agent._param_map().items()):
+        h.update(key.encode())
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == UPDATE_DIGEST
+
+
 def test_repeated_updates_fit_fixed_batch():
     # the regression target moves with the policy, so expect progress, not a fit
     agent = small_agent(seed=3)
@@ -244,7 +269,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(other.act(obs, True), agent.act(obs, True))
     assert other.updates == agent.updates
 
-    restored = SacAgent.restore(path, config=agent.config)
+    restored = SacAgent.restore(path)
     assert np.array_equal(restored.act(obs, True), agent.act(obs, True))
 
     wrong = SacAgent(obs_dim=3, act_dim=2, seed=0)
@@ -260,9 +285,7 @@ def test_checkpoint_records_dtype_and_restores_in_it(tmp_path, dtype):
     agent.save(path)
     with np.load(path) as blob:
         assert str(blob["__dtype"]) == dtype
-    # the checkpoint's dtype wins over the config's
-    other = "float64" if dtype == "float32" else "float32"
-    restored = SacAgent.restore(path, config=SacConfig(batch_size=32, dtype=other))
+    restored = SacAgent.restore(path)
     assert restored.config.dtype == dtype
     assert param_bytes(restored) == param_bytes(agent)
     assert all(p.data.dtype == dtype for p in restored._param_map().values())
@@ -338,7 +361,7 @@ def test_load_rejects_missing_key(tmp_path, key):
         other.load(path)
     assert param_bytes(other) == before
     with pytest.raises(ValueError, match=re.escape(repr(key))):
-        SacAgent.restore(path, config=agent.config)
+        SacAgent.restore(path)
 
 
 # ---- training loop ----------------------------------------------------
