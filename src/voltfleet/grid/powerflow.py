@@ -9,7 +9,10 @@ of the loop sweep in one product. The matrices and the base load per
 bus are compiled once per feeder (`Feeder.network`), so a solve takes
 only the load multiplier and the hub injections, as arrays. Convergence
 is judged on the per-bus complex power mismatch, not on the voltage
-update, so a converged solution certifies power balance.
+update, so a converged solution certifies power balance. Both solves'
+loops write each step into work arrays allocated once per call, in the
+operation order of the plain expressions, so an iteration allocates
+no per-bus temporary and rounds as they would.
 
 The slack bus holds 1.0 pu, so a solve without injection depends only
 on the loading, and evaluation repeats such solves: the days of a
@@ -82,6 +85,12 @@ def _polar(v: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
     return v_pu, angle_rad
 
 
+def _work(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh work arrays of one sweep: the conjugate bus currents, then
+    the product and the power error, then the error's magnitude."""
+    return np.empty(shape, np.complex128), np.empty(shape, np.complex128), np.empty(shape)
+
+
 def solve_power_flow(
     feeder: Feeder,
     lam: float,
@@ -136,16 +145,26 @@ def solve_power_flow(
     root = feeder.slack_index
     v = np.empty(len(feeder.buses), np.complex128)
     v.fill(_V_SLACK)  # flat start
+    cur, err, mag = _work(v.shape)
     mismatch = np.inf
     iterations = 0
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
-            v = _V_SLACK - np.dot(net.path_impedance, np.conj(s_net / v))
+            # v = 1 - Z conj(s / v)
+            np.divide(s_net, v, out=cur)
+            np.conjugate(cur, out=cur)
+            net.path_impedance.dot(cur, err)
+            np.subtract(_V_SLACK, err, out=v)
             # power-balance residual at every non-slack bus: the lines
-            # deliver -V conj(Y V) into each bus, which must meet its demand
-            s_err = v * np.conj(np.dot(net.admittance, v)) + s_net
-            s_err[root] = 0.0
-            mismatch = float(np.maximum.reduce(np.abs(s_err)))
+            # deliver -V conj(Y V) into each bus, which must meet its demand,
+            # so err = v conj(Y v) + s
+            net.admittance.dot(v, cur)
+            np.conjugate(cur, out=cur)
+            np.multiply(v, cur, out=err)
+            np.add(err, s_net, out=err)
+            err[root] = 0.0
+            np.absolute(err, out=mag)
+            mismatch = float(mag[mag.argmax()])  # argmax stops at a NaN: it is the max
             if not math.isfinite(mismatch):
                 mismatch = np.inf
                 break
@@ -184,7 +203,9 @@ def solve_power_flows(
     and (k,) arrays of converged, iterations and max mismatch (inf when
     not finite); a column that did not converge holds its last iterate.
     The sweep runs on (n, k) arrays, so each product is one
-    matrix-matrix product. Each column stops on its own test (converged,
+    matrix-matrix product, and writes each step into work arrays of the
+    call in the single solve's operation order; they are allocated again
+    only when columns leave. Each column stops on its own test (converged,
     non-finite or the iteration cap) and then leaves the product. A lone
     flat-started column gives `solve_power_flow`'s bits after `_polar`;
     among others its voltages agree to the tolerance, as the product may
@@ -218,16 +239,25 @@ def solve_power_flows(
     iterations = np.zeros(k, dtype=int)
     mismatch = np.full(k, np.inf)
 
-    # the columns still iterating, their voltages and their demand
+    # the columns still iterating, their voltages and their demand, and
+    # the work arrays sized to them
     cols, v_on, s_on = np.arange(k), start, s_net
+    cur, err, mag = _work((n, k))
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for it in range(1, DEFAULT_MAX_ITERATIONS + 1):
             if not cols.size:
                 break
-            v_on = _V_SLACK - np.dot(net.path_impedance, np.conj(s_on / v_on))
-            s_err = v_on * np.conj(np.dot(net.admittance, v_on)) + s_on
-            s_err[root] = 0.0
-            mm = np.maximum.reduce(np.abs(s_err), axis=0)
+            np.divide(s_on, v_on, out=cur)
+            np.conjugate(cur, out=cur)
+            net.path_impedance.dot(cur, err)
+            # the first iteration reads start and writes a fresh iterate
+            v_on = np.subtract(_V_SLACK, err, out=None if v_on is start else v_on)
+            net.admittance.dot(v_on, cur)
+            np.conjugate(cur, out=cur)
+            np.multiply(v_on, cur, out=err)
+            np.add(err, s_on, out=err)
+            err[root] = 0.0
+            mm = np.maximum.reduce(np.absolute(err, out=mag), axis=0)
             going = (mm > DEFAULT_TOLERANCE_PU) & np.isfinite(mm) & (it < DEFAULT_MAX_ITERATIONS)
             if going.all():
                 continue
@@ -236,7 +266,10 @@ def solve_power_flows(
             v[:, done] = v_on[:, stop]
             iterations[done] = it
             mismatch[done] = np.where(np.isfinite(mm[stop]), mm[stop], np.inf)
-            cols, v_on, s_on = cols[going], v_on[:, going], s_on[:, going]
+            # compress keeps the survivors C-ordered like the work arrays;
+            # v_on[:, going] is F-ordered, which makes each ufunc strided
+            cols, v_on, s_on = cols[going], v_on.compress(going, 1), s_on.compress(going, 1)
+            cur, err, mag = _work((n, cols.size))
 
     v[root] = _V_SLACK
     return v, mismatch <= DEFAULT_TOLERANCE_PU, iterations, mismatch

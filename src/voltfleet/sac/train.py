@@ -54,15 +54,18 @@ def train(
     """Off-policy loop: act, store, update once per post-warmup step.
 
     Warmup actions are uniform random to fill the replay buffer before any
-    gradient step. A negative `total_steps` or `warmup` is a ValueError
-    before the first step. Raises RuntimeError (after dumping the offending
-    batch) if a loss stops being finite. The batch goes to `dump_path`, by
-    default beside `csv_path` (`<name>.divergence.npz`), or without one to
+    gradient step. A negative `total_steps` or `warmup`, or a `log_every`
+    that is not an int >= 1, is a ValueError before the first step.
+    Raises RuntimeError (after dumping the offending batch) if a loss stops
+    being finite. The batch goes to `dump_path`, by default beside
+    `csv_path` (`<name>.divergence.npz`), or without one to
     `DIVERGENCE_DUMP` in the system's temporary directory.
     """
     for name, value in (("total_steps", total_steps), ("warmup", warmup)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, not {value}")
+    if type(log_every) is not int or log_every < 1:  # bool is not a step count
+        raise ValueError(f"log_every must be an int >= 1, not {log_every!r}")
     rng = np.random.default_rng(seed)
     batch_size = agent.config.batch_size
     recent: deque[float] = deque(maxlen=200)

@@ -15,6 +15,12 @@ A third digest covers the feeder parse and compilation: the bytes of
 of each shipped feeder and of 300 `random_case` feeders (mixed voltage
 bases, the slack anywhere, lines in either direction) drawn from
 `default_rng(5)`.
+
+A fourth digest covers the solves themselves: the exact bits of seeded
+single solves (shipped and `random_case` feeders, with and without
+injections, at loadings from zero to past the nose and to overflow) and
+of seeded batched solves from flat and warm starts. It counts each exit
+the sweep can take: converged, non-finite and the iteration cap.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ import dataclasses
 import hashlib
 
 import numpy as np
-from test_power_flow import random_case
+from test_power_flow import SHIPPED_FEEDERS, injection_arrays, random_case, shipped_case
 
-from voltfleet.grid import load_feeder_file
+from voltfleet.grid import load_feeder_file, solve_power_flow, solve_power_flows
+from voltfleet.grid.powerflow import DEFAULT_MAX_ITERATIONS
 from voltfleet.harness.evaluate import evaluate
 from voltfleet.resources import feeder_path
 from voltfleet.scenario import load_scenario
@@ -79,8 +86,68 @@ def network_digest() -> tuple[int, str]:
     return len(feeders), h.hexdigest()
 
 
+# from no load past the nose of every shipped feeder; the last three overflow
+SHIPPED_LOADINGS = (0.0, 0.7, 1.0, 2.0, 4.0, 8.0, 64.0, 1e150, 1e200, 1e300)
+EXITS = ("converged", "non_finite", "max_iterations")
+
+
+def _exit(converged, iterations, mismatch) -> str:
+    if converged:
+        return "converged"
+    if mismatch == float("inf"):
+        return "non_finite"
+    assert iterations == DEFAULT_MAX_ITERATIONS
+    return "max_iterations"
+
+
+def _cases(rng):
+    """(feeder, lam, injections) of the shipped feeders at each loading,
+    hub setpoints inside the ratings, and of 200 `random_case` feeders."""
+    for name in SHIPPED_FEEDERS:
+        for lam in SHIPPED_LOADINGS:
+            yield shipped_case(name, int(rng.integers(2**32)), lam)
+    for _ in range(200):
+        yield random_case(rng, int(rng.integers(2, 41)), float(rng.uniform(0.0, 6.0)))
+
+
+def solve_digest() -> tuple[dict[str, int], str]:
+    """(solves per exit, sha256) over single and batched solves.
+
+    Each case is solved alone without and with its injection. Then
+    columns of it, drawn with loadings of their own, injections scaled
+    by 0, 0.3, 1 or -1 and a flat start or one from a single solve's
+    iterate (converged or not), are solved as one batch.
+    """
+    rng = np.random.default_rng(19)
+    h = hashlib.sha256()
+    exits = dict.fromkeys(EXITS, 0)
+    for feeder, lam, injections in _cases(rng):
+        hub_index, hub_pq = injection_arrays(feeder, injections)
+        for index, pq in ((None, None), (hub_index, hub_pq)):
+            sol = solve_power_flow(feeder, lam, index, pq)
+            h.update(sol.v_pu.tobytes() + sol.angle_rad.tobytes())
+            h.update(f"{sol.converged},{sol.iterations},{sol.max_mismatch_pu.hex()};".encode())
+            exits[_exit(sol.converged, sol.iterations, sol.max_mismatch_pu)] += 1
+        k = int(rng.integers(1, 7))
+        lams = [lam] + rng.uniform(0.0, 6.0, size=k - 1).tolist()
+        pqs = np.stack([s * hub_pq for s in rng.choice([0.0, 0.3, 1.0, -1.0], size=k)])
+        with np.errstate(all="ignore"):  # a diverged solve's phasors may not be finite
+            warm = sol.v_pu * np.exp(1j * sol.angle_rad)
+        start = np.ones((len(feeder.buses), k), complex)
+        start[:, rng.random(k) < 0.5] = warm[:, None]
+        v, converged, iterations, mismatch = solve_power_flows(feeder, lams, hub_index, pqs,
+                                                               start)
+        for a in (v, converged, iterations, mismatch):
+            h.update(a.tobytes())
+        for column in zip(converged, iterations, mismatch):
+            exits[_exit(*column)] += 1
+    return exits, h.hexdigest()
+
+
 if __name__ == "__main__":
     for kind, (n, digest) in digests().items():
         print(f"{kind}: {n} days {digest}")
     n, digest = network_digest()
     print(f"network: {n} feeders {digest}")
+    exits, digest = solve_digest()
+    print("solves: " + ", ".join(f"{n} {kind}" for kind, n in exits.items()) + f" {digest}")

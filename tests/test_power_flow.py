@@ -297,6 +297,42 @@ def test_batched_solves_match_single_solves(case, columns):
             assert np.max(np.abs(_phasors(got) - _phasors(lone))) <= 1e-9
 
 
+def _bits(result):
+    """The bytes of a single solve's solution or of a batched solve's arrays."""
+    if isinstance(result, PowerFlowSolution):
+        return _bits((result.v_pu, result.angle_rad, np.array(
+            [result.converged, result.iterations, result.max_mismatch_pu])))
+    return b"".join(a.tobytes() for a in result)
+
+
+def test_solves_share_no_state():
+    """Each call sweeps in work arrays of its own: a later single or
+    batched solve leaves every earlier result's bytes as they were, a
+    batch started from an earlier batch's phasors leaves them unwritten,
+    and the reused no-injection solution stays read-only with the bits of
+    a fresh solve."""
+    feeder = load_feeder_file(feeder_path("ieee34_equiv"))
+    hub_index = np.array([feeder.bus_index(h.bus) for h in feeder.hubs])
+    ratings = np.array([(h.p_max_kw, h.q_max_kvar) for h in feeder.hubs])
+    rng = np.random.default_rng(3)
+    reused = solve_power_flow(feeder, 1.3)
+    results, start = [(reused, _bits(reused))], _flat(feeder, 3)
+    for lam in (0.8, 1.3, 2.5, 8.0):  # 8.0 stops at the iteration cap
+        pqs = rng.uniform(-1.0, 1.0, size=(3, *ratings.shape)) * ratings
+        single = solve_power_flow(feeder, lam, hub_index, pqs[0])
+        results.append((single, _bits(single)))
+        batch = solve_power_flows(feeder, [lam, 0.5, 1.3], hub_index, pqs, start)
+        results.append((batch, _bits(batch)))
+        assert solve_power_flow(feeder, 1.3) is reused
+        solve_power_flow(feeder, lam, hub_index, pqs[1])
+        assert all(_bits(r) == b for r, b in results)
+        start = batch[0]
+    for arr in (reused.v_pu, reused.angle_rad):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert _same_solution(reused, solve_power_flow(dataclasses.replace(feeder), 1.3))
+
+
 def test_a_diverging_column_stops_no_other():
     feeder = two_bus()
     hub_index = np.array([feeder.bus_index("2")])

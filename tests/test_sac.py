@@ -389,6 +389,23 @@ def test_train_smoke_and_history_csv(tmp_path, five_bus_env):
     assert len(text) == 4
 
 
+class _UnsteppedEnv:
+    """An env that fails a test on any reset or step."""
+
+    def reset(self):
+        raise AssertionError("reset before the arguments were checked")
+
+    step = reset
+
+
+@pytest.mark.parametrize("log_every", [0, -3, 2.5, True, None])
+def test_train_rejects_a_log_every_that_is_no_step_count(log_every):
+    agent = SacAgent(obs_dim=5, act_dim=2, seed=5, config=SacConfig(batch_size=32))
+    with pytest.raises(ValueError, match="log_every"):
+        train(_UnsteppedEnv(), agent, total_steps=3, warmup=1, log_every=log_every)
+    assert len(agent.replay) == 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_dumps_batch_on_divergence(tmp_path, five_bus_env):
     agent = SacAgent(obs_dim=5, act_dim=2, seed=6, config=SacConfig(batch_size=16))
