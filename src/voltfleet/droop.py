@@ -83,14 +83,14 @@ def droop_control(
     solution: PowerFlowSolution,
     hub_index: np.ndarray,
     ratings: np.ndarray,
-    curve: DroopCurve | None = None,
+    curve: DroopCurve,
 ) -> np.ndarray:
     """(H, 2) hub (P_kw, Q_kvar) setpoints, each from its own bus voltage.
 
     `hub_index` gives each hub's bus index, `ratings` its (p_max_kw,
     q_max_kvar).
     """
-    out = _outputs(curve or DroopCurve(), solution.v_pu[hub_index].tolist())
+    out = _outputs(curve, solution.v_pu[hub_index].tolist())
     return np.array(out)[:, None] * ratings
 
 

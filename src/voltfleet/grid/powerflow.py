@@ -9,10 +9,7 @@ of the loop sweep in one product. The matrices and the base load per
 bus are compiled once per feeder (`Feeder.network`), so a solve takes
 only the load multiplier and the hub injections, as arrays. Convergence
 is judged on the per-bus complex power mismatch, not on the voltage
-update, so a converged solution certifies power balance. Both solves'
-loops write each step into work arrays allocated once per call, in the
-operation order of the plain expressions, so an iteration allocates
-no per-bus temporary and rounds as they would.
+update, so a converged solution certifies power balance.
 
 The slack bus holds 1.0 pu, so a solve without injection depends only
 on the loading, and evaluation repeats such solves: the days of a
@@ -31,7 +28,9 @@ iterate's path, so its result matches the flat start's to the
 tolerance, not to the bit. It returns the raw phasors with per-column
 status arrays and builds no `PowerFlowSolution`, so a caller that
 iterates can start each round from the last one without a polar round
-trip. The two solves share their checks, not their loop.
+trip. The two solves share their checks, their demand and their step,
+which works in place on arrays allocated once per call; they differ
+only in loop control and packaging.
 """
 
 from __future__ import annotations
@@ -85,10 +84,44 @@ def _polar(v: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
     return v_pu, angle_rad
 
 
-def _work(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fresh work arrays of one sweep: the conjugate bus currents, then
-    the product and the power error, then the error's magnitude."""
-    return np.empty(shape, np.complex128), np.empty(shape, np.complex128), np.empty(shape)
+def _work(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh work arrays of one sweep: the iterate, the conjugate bus
+    currents, the product and power error, and the error's magnitude."""
+    c = np.complex128
+    return np.empty(shape, c), np.empty(shape, c), np.empty(shape, c), np.empty(shape)
+
+
+def _demand(lam, base_load_kw, s_base_kw, hub_index, hub_pq) -> np.ndarray:
+    """Each bus's complex demand in p.u., less `hub_pq` (None: none) at the
+    buses `hub_index`: (n,) from a float `lam` on the (n, 2) base load,
+    (n, k) from (k, 1) loadings on an (n, 1, 2) view with (H, k, 2) rows.
+    P and Q are divided as floats, not as one complex (numpy multiplies
+    that by the reciprocal), and load and injection each before the
+    subtraction, so every term is correctly rounded. A zero injection flips
+    at most the sign of a zero demand, so it may share a no-injection solve.
+    """
+    pq = lam * base_load_kw / s_base_kw
+    if hub_pq is not None:
+        pq[hub_index] -= hub_pq / s_base_kw
+    return pq.view(np.complex128)[..., 0]
+
+
+def _step(net, root: int, s, v_in, v, cur, err, mag) -> None:
+    """One sweep iteration, v = 1 - Z conj(s / v_in) (`v_in` may be `v`),
+    then the power error at v into `err` and its magnitude into `mag`,
+    in the operation order of the plain expressions, so it rounds as they would."""
+    np.divide(s, v_in, out=cur)
+    np.conjugate(cur, out=cur)
+    net.path_impedance.dot(cur, err)
+    np.subtract(_V_SLACK, err, out=v)
+    # power-balance residual at every non-slack bus: the lines deliver
+    # -V conj(Y V) into each bus to meet its demand, so err = v conj(Y v) + s
+    net.admittance.dot(v, cur)
+    np.conjugate(cur, out=cur)
+    np.multiply(v, cur, out=err)
+    np.add(err, s, out=err)
+    err[root] = 0.0
+    np.absolute(err, out=mag)
 
 
 def solve_power_flow(
@@ -100,7 +133,7 @@ def solve_power_flow(
     """Backward/forward sweep solve at load multiplier `lam` >= 0, from the flat start.
 
     Every bus consumes `lam` times its base load (`Network.base_load_kw`).
-    `hub_pq` is an (H, 2) array of injected (P_kw, Q_kvar), one row per
+    `hub_pq` is an (H, 2) array-like of injected (P_kw, Q_kvar), one row per
     bus index in `hub_index`, positive injecting into the grid (reduces
     net demand at the bus); a repeated index, or the slack bus's, is a
     `ValueError`. `hub_index` without `hub_pq` injects nothing, and
@@ -115,10 +148,11 @@ def solve_power_flow(
         # pq[None] would broadcast the injection onto every bus
         if hub_index is None:
             raise ValueError("hub_pq needs the hub_index of its rows")
-        if np.shape(hub_pq) != (len(hub_index), 2):
+        hub_pq = np.asarray(hub_pq, dtype=float)
+        if hub_pq.shape != (len(hub_index), 2):
             raise ValueError(
                 f"hub_pq must be ({len(hub_index)}, 2) for the {len(hub_index)} buses of "
-                f"hub_index, got {np.shape(hub_pq)}"
+                f"hub_index, got {hub_pq.shape}"
             )
     net = feeder.network
     injects = hub_pq is not None and np.count_nonzero(hub_pq)
@@ -129,41 +163,14 @@ def solve_power_flow(
         kept = net.no_injection.get(key)
         if kept is not None:
             return kept
-    s_base_kw = feeder.base_mva * 1000.0
-
-    # (P, Q) each bus consumes, in p.u. P and Q are divided as floats, not
-    # as one complex (numpy multiplies that by the reciprocal), and load and
-    # injection each before the subtraction, so every term is correctly
-    # rounded; a row of two float64 is then one complex128. A zero
-    # injection changes at most the sign of a zero demand, which no
-    # result bit depends on, so it shares the no-injection solution
-    pq = lam * net.base_load_kw / s_base_kw
-    if hub_pq is not None:
-        pq[hub_index] -= hub_pq / s_base_kw
-    s_net = pq.view(np.complex128)[:, 0]
+    s_net = _demand(lam, net.base_load_kw, feeder.base_mva * 1000.0, hub_index, hub_pq)
 
     root = feeder.slack_index
-    v = np.empty(len(feeder.buses), np.complex128)
+    v, cur, err, mag = _work(len(feeder.buses))
     v.fill(_V_SLACK)  # flat start
-    cur, err, mag = _work(v.shape)
-    mismatch = np.inf
-    iterations = 0
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
-            # v = 1 - Z conj(s / v)
-            np.divide(s_net, v, out=cur)
-            np.conjugate(cur, out=cur)
-            net.path_impedance.dot(cur, err)
-            np.subtract(_V_SLACK, err, out=v)
-            # power-balance residual at every non-slack bus: the lines
-            # deliver -V conj(Y V) into each bus, which must meet its demand,
-            # so err = v conj(Y v) + s
-            net.admittance.dot(v, cur)
-            np.conjugate(cur, out=cur)
-            np.multiply(v, cur, out=err)
-            np.add(err, s_net, out=err)
-            err[root] = 0.0
-            np.absolute(err, out=mag)
+            _step(net, root, s_net, v, v, cur, err, mag)
             mismatch = float(mag[mag.argmax()])  # argmax stops at a NaN: it is the max
             if not math.isfinite(mismatch):
                 mismatch = np.inf
@@ -203,9 +210,7 @@ def solve_power_flows(
     and (k,) arrays of converged, iterations and max mismatch (inf when
     not finite); a column that did not converge holds its last iterate.
     The sweep runs on (n, k) arrays, so each product is one
-    matrix-matrix product, and writes each step into work arrays of the
-    call in the single solve's operation order; they are allocated again
-    only when columns leave. Each column stops on its own test (converged,
+    matrix-matrix product. Each column stops on its own test (converged,
     non-finite or the iteration cap) and then leaves the product. A lone
     flat-started column gives `solve_power_flow`'s bits after `_polar`;
     among others its voltages agree to the tolerance, as the product may
@@ -227,37 +232,25 @@ def solve_power_flows(
         raise ValueError(f"start must be ({n}, {k}) for {k} cases on {n} buses, "
                          f"got {np.shape(start)}")
     net = feeder.network
-    s_base_kw = feeder.base_mva * 1000.0
-
-    # (n, k, 2) demand in p.u., rounded term by term as in solve_power_flow
-    pq = np.array(lams, dtype=float)[:, None] * net.base_load_kw[:, None, :] / s_base_kw
-    pq[hub_index] -= hub_pq.transpose(1, 0, 2) / s_base_kw
-    s_net = pq.view(np.complex128)[..., 0]
+    s_net = _demand(np.array(lams, dtype=float)[:, None], net.base_load_kw[:, None, :],
+                    feeder.base_mva * 1000.0, hub_index, hub_pq.transpose(1, 0, 2))
 
     # every column stops by the iteration cap, so each one is written
     v = np.empty((n, k), np.complex128)
     iterations = np.zeros(k, dtype=int)
     mismatch = np.full(k, np.inf)
 
-    # the columns still iterating, their voltages and their demand, and
-    # the work arrays sized to them
-    cols, v_on, s_on = np.arange(k), start, s_net
-    cur, err, mag = _work((n, k))
+    # the columns still iterating, their last iterate (first start, which
+    # is not written) and their demand, and the work arrays sized to them
+    cols, v_in, s_on = np.arange(k), start, s_net
+    v_on, cur, err, mag = _work((n, k))
     with np.errstate(all="ignore"):  # divergence handled via the finite check
         for it in range(1, DEFAULT_MAX_ITERATIONS + 1):
             if not cols.size:
                 break
-            np.divide(s_on, v_on, out=cur)
-            np.conjugate(cur, out=cur)
-            net.path_impedance.dot(cur, err)
-            # the first iteration reads start and writes a fresh iterate
-            v_on = np.subtract(_V_SLACK, err, out=None if v_on is start else v_on)
-            net.admittance.dot(v_on, cur)
-            np.conjugate(cur, out=cur)
-            np.multiply(v_on, cur, out=err)
-            np.add(err, s_on, out=err)
-            err[root] = 0.0
-            mm = np.maximum.reduce(np.absolute(err, out=mag), axis=0)
+            _step(net, root, s_on, v_in, v_on, cur, err, mag)
+            v_in = v_on
+            mm = np.maximum.reduce(mag, axis=0)
             going = (mm > DEFAULT_TOLERANCE_PU) & np.isfinite(mm) & (it < DEFAULT_MAX_ITERATIONS)
             if going.all():
                 continue
@@ -268,8 +261,8 @@ def solve_power_flows(
             mismatch[done] = np.where(np.isfinite(mm[stop]), mm[stop], np.inf)
             # compress keeps the survivors C-ordered like the work arrays;
             # v_on[:, going] is F-ordered, which makes each ufunc strided
-            cols, v_on, s_on = cols[going], v_on.compress(going, 1), s_on.compress(going, 1)
-            cur, err, mag = _work((n, cols.size))
+            cols, v_in, s_on = cols[going], v_on.compress(going, 1), s_on.compress(going, 1)
+            v_on, cur, err, mag = _work((n, cols.size))
 
     v[root] = _V_SLACK
     return v, mismatch <= DEFAULT_TOLERANCE_PU, iterations, mismatch

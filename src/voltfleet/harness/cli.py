@@ -153,6 +153,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # before any day or step
+            raise ValueError(f"--seed must be >= 0, not {args.seed}")
         return _COMMANDS[args.command](args)
     except Exception as exc:  # machine-readable failure on stderr
         print(

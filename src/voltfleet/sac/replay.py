@@ -18,13 +18,14 @@ class ReplayBuffer:
         obs_dim: int,
         act_dim: int,
         capacity: int = 1_000_000,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         dtype=np.float64,
     ):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._rng = rng or np.random.default_rng()
+        self._rng = rng
         room = min(_INITIAL_ROOM, capacity)
         self._obs = np.zeros((room, obs_dim), dtype)
         self._act = np.zeros((room, act_dim), dtype)

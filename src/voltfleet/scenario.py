@@ -85,14 +85,17 @@ class Scenario:
             raise ValueError(f"hub buses listed more than once: {repeated}")
         if len(self.profile) != 24:
             raise ValueError(f"profile needs 24 hourly multipliers, got {len(self.profile)}")
-        if self.episode_len < 1:
-            raise ValueError("episode_len must be >= 1")
+        if type(self.episode_len) is not int or self.episode_len < 1:  # a bool is no count
+            raise ValueError(f"episode_len must be an int >= 1, not {self.episode_len!r}")
         if not 0.0 <= self.lambda_min < self.lambda_max < math.inf:
             raise ValueError("need 0 <= lambda_min < lambda_max < inf")
-        if len(self.v2g_window) != 2 or not 0 <= self.v2g_window[0] < self.v2g_window[1] <= 24:
-            raise ValueError("v2g_window wants two hours: 0 <= start < end <= 24")
+        if (len(self.v2g_window) != 2 or any(type(h) is not int for h in self.v2g_window)
+                or not 0 <= self.v2g_window[0] < self.v2g_window[1] <= 24):
+            raise ValueError("v2g_window wants two int hours: 0 <= start < end <= 24")
         if not math.isfinite(self.nonconvergence_penalty):
             raise ValueError("nonconvergence_penalty must be finite")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, not {self.seed!r}")
 
 
 def _floats(text: str) -> tuple[float, ...]:

@@ -73,7 +73,7 @@ RATINGS = np.array([[500.0, 400.0], [500.0, 400.0]])
 
 def test_droop_control_scales_to_ratings():
     sol = _solution(["slack", "a", "b"], [1.0, 0.90, 1.0])
-    setpoints = droop_control(sol, np.array([1, 2]), RATINGS)
+    setpoints = droop_control(sol, np.array([1, 2]), RATINGS, DroopCurve())
     assert setpoints[0].tolist() == pytest.approx([500.0, 400.0], abs=1e-9)
     assert setpoints[1].tolist() == [0.0, 0.0]
 
@@ -82,11 +82,12 @@ def test_droop_is_local_per_hub():
     hubs = np.array([0, 1])  # buses a and b
     base = _solution(["a", "b", "c"], [0.93, 0.97, 1.0])
     moved = _solution(["a", "b", "c"], [0.93, 0.97, 0.85])  # other bus swings
-    assert np.array_equal(droop_control(base, hubs, RATINGS),
-                          droop_control(moved, hubs, RATINGS))
+    curve = DroopCurve()
+    assert np.array_equal(droop_control(base, hubs, RATINGS, curve),
+                          droop_control(moved, hubs, RATINGS, curve))
     # permuting which hub sags swaps the outputs, nothing else
     swapped = _solution(["a", "b", "c"], [0.97, 0.93, 1.0])
-    sp, sw = droop_control(base, hubs, RATINGS), droop_control(swapped, hubs, RATINGS)
+    sp, sw = droop_control(base, hubs, RATINGS, curve), droop_control(swapped, hubs, RATINGS, curve)
     assert np.array_equal(sp[0], sw[1]) and np.array_equal(sp[1], sw[0])
 
 

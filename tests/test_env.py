@@ -98,6 +98,15 @@ SCENARIO_BREAKS = [
     (dict(nonconvergence_penalty=float("nan")), "nonconvergence_penalty"),
     (dict(nonconvergence_penalty=-float("inf")), "nonconvergence_penalty"),
     (dict(episode_len=0), "episode_len"),
+    (dict(episode_len=True), "episode_len"),
+    (dict(episode_len=2.5), "episode_len"),
+    # a negative seed fails every evaluation day, a float one the SeedSequence
+    (dict(seed=-1), r"seed must be an int >= 0, not -1"),
+    (dict(seed=1.5), r"seed must be an int >= 0, not 1\.5"),
+    (dict(seed=True), r"seed must be an int >= 0, not True"),
+    # a float hour fails a fixed-point day's range()
+    (dict(v2g_window=(6.5, 23)), "v2g_window"),
+    (dict(v2g_window=(True, 23)), "v2g_window"),
     (dict(v2g_window=(23, 6)), "v2g_window"),
     (dict(v2g_window=(6, 25)), "v2g_window"),
     (dict(v2g_window=(6,)), "v2g_window"),

@@ -479,6 +479,17 @@ def test_cli_rejects_a_repeated_run_before_any_day(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "rep").exists()
 
 
+def test_cli_rejects_a_negative_seed_before_any_day(capsys, monkeypatch):
+    days = []
+    monkeypatch.setattr("voltfleet.harness.cli.evaluate", lambda *a, **kw: days.append(a))
+    rc = main(["eval", "--scenario", "five_bus_train", "--seed", "-1", "--ev-constrained"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ValueError"
+    assert "--seed must be >= 0, not -1" in err["error"]
+    assert days == []
+
+
 def test_cli_policy_dimension_mismatch(tmp_path, capsys):
     ckpt = tmp_path / "p5.npz"
     SacAgent(5, 2, seed=0).save(ckpt)

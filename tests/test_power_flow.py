@@ -547,6 +547,9 @@ def test_injection_raises_local_voltage():
     # absorbing power depresses it
     sagged = solve_power_flow(feeder, 1.0, hub, np.array([[-400.0, -200.0]]))
     assert sagged.voltage_at("2") < base.voltage_at("2")
+    # an array-like injection is read as solve_power_flows reads one
+    listed = solve_power_flow(feeder, 1.0, hub.tolist(), [[400.0, 200.0]])
+    assert np.array_equal(listed.v_pu, boosted.v_pu)
 
 
 @pytest.mark.parametrize(

@@ -85,12 +85,12 @@ def test_replay_stores_in_its_dtype(monkeypatch):
     batch = buf.sample(4)
     assert all(v.dtype == np.float32 for v in batch.values())
     assert buf._obs[4, 0] == np.float32(4.1)
-    assert ReplayBuffer(1, 1)._obs.dtype == np.float64  # the default
+    assert ReplayBuffer(1, 1, rng=np.random.default_rng(0))._obs.dtype == np.float64  # the default
 
 
 def test_replay_empty_sample_rejected():
     with pytest.raises(ValueError, match="empty"):
-        ReplayBuffer(1, 1, capacity=4).sample(1)
+        ReplayBuffer(1, 1, capacity=4, rng=np.random.default_rng(0)).sample(1)
 
 
 # ---- optimizer --------------------------------------------------------

@@ -194,6 +194,7 @@ def test_inline_profile_values(tmp_path):
         (BASE_INI + "lambda_max = inf\n", "lambda_max"),
         (BASE_INI + "episode_len = 0\n", "episode_len"),
         (BASE_INI + "episode_len = -5\n", "episode_len"),
+        (BASE_INI + "seed = -1\n", r"case\.ini: \[scenario\] seed must be an int >= 0, not -1"),
         (BASE_INI + "nonconvergence_penalty = nan\n", "nonconvergence_penalty"),
         (BASE_INI + "[droop]\ndeadband = 0.12\n", "deadband"),
         (BASE_INI + "[droop]\nv_sat_high = 0.99\n", "saturation"),
