@@ -115,8 +115,10 @@ class V2GEnv:
         # per-hub arrays, in hub order: bus index and (p_max_kw, q_max_kvar)
         self.hub_index = np.array([sc.feeder.bus_index(b) for b in sc.hub_buses])
         self.ratings = np.array([(h.p_max_kw, h.q_max_kvar) for h in self.hubs])
-        # one fleet per hub, in hub order
+        # one fleet per hub, in hub order; phase 1 delivers as asked and takes none
         self.fleets: tuple[FleetState, ...] = tuple(fleets or ())
+        if config.phase == 1 and self.fleets:
+            raise ValueError(f"phase 1 delivers without fleets, got {len(self.fleets)}")
         if config.phase == 2 and len(self.fleets) != len(self.hubs):
             raise ValueError(
                 f"phase 2 needs one fleet per hub: {len(self.hubs)} hubs, "

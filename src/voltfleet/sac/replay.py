@@ -1,15 +1,32 @@
 """Uniform replay buffer backed by preallocated numpy arrays.
 
-Storage starts small and doubles as transitions arrive, up to the fixed
-capacity; past capacity the buffer wraps and overwrites the oldest rows.
-Rows are stored, and sampled, in the buffer's `dtype`.
+Storage for the full capacity is allocated once, in anonymous memory
+maps whose pages the OS commits only as rows are written, so an unfilled
+buffer costs little memory. Past capacity the buffer wraps and
+overwrites the oldest rows. Rows are stored, and sampled, in the
+buffer's `dtype`.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+
 import numpy as np
 
-_INITIAL_ROOM = 4096
+
+def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros whose pages are committed on first write.
+
+    Not `np.zeros`: once a freed block under glibc's 32 MB mmap ceiling
+    (such as a 5-bus float32 buffer's `obs`) has raised its mmap
+    threshold, calloc serves the next block from the heap and clears all
+    of it, so every later buffer of that size is written through and
+    stays resident.
+    """
+    count = math.prod(shape)
+    nbytes = max(count * np.dtype(dtype).itemsize, 1)  # a map cannot be empty
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype, count).reshape(shape)
 
 
 class ReplayBuffer:
@@ -26,33 +43,18 @@ class ReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._rng = rng
-        room = min(_INITIAL_ROOM, capacity)
-        self._obs = np.zeros((room, obs_dim), dtype)
-        self._act = np.zeros((room, act_dim), dtype)
-        self._rew = np.zeros(room, dtype)
-        self._next_obs = np.zeros((room, obs_dim), dtype)
-        self._done = np.zeros(room, dtype)
+        self._obs = _zeros((capacity, obs_dim), dtype)
+        self._act = _zeros((capacity, act_dim), dtype)
+        self._rew = _zeros((capacity,), dtype)
+        self._next_obs = _zeros((capacity, obs_dim), dtype)
+        self._done = _zeros((capacity,), dtype)
         self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def allocated(self) -> int:
-        return self._obs.shape[0]
-
-    def _grow(self) -> None:
-        new_room = min(self.allocated * 2, self.capacity)
-        for name in ("_obs", "_act", "_rew", "_next_obs", "_done"):
-            old = getattr(self, name)
-            fresh = np.zeros((new_room, *old.shape[1:]), old.dtype)
-            fresh[: self._size] = old[: self._size]
-            setattr(self, name, fresh)
-
     def add(self, obs, act, rew: float, next_obs, done: bool) -> None:
-        if self._size == self.allocated and self.allocated < self.capacity:
-            self._grow()
         i = self._cursor
         self._obs[i] = obs
         self._act[i] = act

@@ -2,14 +2,16 @@
 
 A file holds a `[scenario]` section and optional `[fleet]` and `[droop]`
 sections. Each key is read once, into the field it sets on `Scenario`,
-`FleetSpec` or `DroopCurve`; a key the file leaves out takes the field's
+`FleetSpec` (the fleet model's one description of the EVs, from
+`fleet.py`) or `DroopCurve`; a key the file leaves out takes the field's
 default. An unknown section or key, or any key under `[DEFAULT]`, is a
 ValueError naming the file, the section and the key; so is a file that
 is not INI, such as one with a repeated key or section. The rules on
 the values live on those classes, so a hand-built `Scenario` is checked
 as a file is and a file's error names its file and section; only the
 load multipliers are checked as they are read (`profile_values`,
-`load_profile`).
+`load_profile`). `build_fleets` draws one `FleetState` per hub, each
+carrying the scenario's `FleetSpec`.
 """
 
 from __future__ import annotations
@@ -22,37 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .droop import DroopCurve
-from .fleet import FleetState, check_pack
+from .fleet import FleetSpec, FleetState
 from .grid import Feeder, load_feeder_file
 from .profiles import check_multipliers, load_profile
 from .resources import feeder_path, scenario_path
-
-
-@dataclass(frozen=True)
-class FleetSpec:
-    ev_count: int = 30
-    capacity_kwh: float = 75.0
-    soc_init: tuple[float, float] = (0.2, 0.9)
-    soh_init: float = 0.95
-    eta_inv: float = 0.96
-    c_rate: float = 0.5
-    cycle_coeff: float = 5e-6
-    calendar_coeff: float = 1e-7
-    availability: tuple[float, ...] = (1.0,) * 24
-
-    def __post_init__(self):
-        if self.ev_count < 0:
-            raise ValueError("ev_count must be >= 0")
-        if not 0.0 < self.soh_init <= 1.0:
-            raise ValueError("soh_init must lie in (0, 1]")
-        check_pack(self.capacity_kwh, self.c_rate, self.eta_inv,
-                   self.cycle_coeff, self.calendar_coeff)
-        if len(self.soc_init) != 2 or not 0.0 <= self.soc_init[0] <= self.soc_init[1] <= 1.0:
-            raise ValueError("soc_init wants two bounds: 0 <= low <= high <= 1")
-        if len(self.availability) != 24:
-            raise ValueError("availability needs 24 hourly fractions")
-        if any(not 0.0 <= a <= 1.0 for a in self.availability):
-            raise ValueError("availability fractions must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -220,7 +195,8 @@ def build_fleets(
     remainder going to the hubs listed first.  Initial SOC is uniform over
     the configured range; the participation order is a fixed permutation
     drawn once per hub, so availability fractions select a reproducible
-    subset each day. Each fleet ages at the scenario's coefficients.
+    subset each day. Every fleet carries the scenario's `FleetSpec`, so
+    all hubs share its pack, aging coefficients and availability.
     """
     spec = scenario.fleet
     if not isinstance(seed_seq, np.random.SeedSequence):
@@ -232,15 +208,6 @@ def build_fleets(
         rng = np.random.default_rng(child)
         count = base + (1 if i < extra else 0)
         socs = rng.uniform(spec.soc_init[0], spec.soc_init[1], size=count)
-        fleets.append(FleetState(
-            soc=socs,
-            soh=np.full(count, spec.soh_init),
-            capacity_kwh=spec.capacity_kwh,
-            c_rate=spec.c_rate,
-            eta_inv=spec.eta_inv,
-            cycle_coeff=spec.cycle_coeff,
-            calendar_coeff=spec.calendar_coeff,
-            availability_schedule=spec.availability,
-            order=rng.permutation(count),
-        ))
+        fleets.append(FleetState(soc=socs, soh=np.full(count, spec.soh_init), spec=spec,
+                                 order=rng.permutation(count)))
     return tuple(fleets)

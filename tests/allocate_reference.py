@@ -26,7 +26,7 @@ def capability(fleet: FleetState, discharge: bool = True) -> np.ndarray:
     (below 0.1 when discharging, above 0.9 when charging). EVs not
     available this hour deliver nothing.
     """
-    p_current = fleet.c_rate * fleet.capacity_kwh * fleet.soh
+    p_current = fleet.spec.c_rate * fleet.spec.capacity_kwh * fleet.soh
     rail_gap = fleet.soc if discharge else 1.0 - fleet.soc
     taper = np.maximum(np.minimum(rail_gap / 0.1, 1.0), 0.0)
     return np.where(fleet.available, p_current * taper, 0.0)
@@ -39,14 +39,14 @@ def allocate(
     hour: int,
 ) -> AllocationResult:
     """Scale a grid-side request to fleet capability and age the fleet
-    by one hour at its own coefficients.
+    by one hour at its spec's coefficients.
 
     Every EV is stepped each call: participating EVs carry their
     proportional share of the battery draw, the rest idle (calendar
     aging only). Infeasible requests are scaled by rho, never rejected.
     """
     s_req = math.hypot(p_req_kw, q_req_kvar)
-    p_fleet = s_req / fleet.eta_inv
+    p_fleet = s_req / fleet.spec.eta_inv
     discharge = p_req_kw >= 0  # zero-P reactive service still drains via s_req
 
     mark_availability(fleet, hour)
@@ -60,10 +60,10 @@ def allocate(
     if np.any(share > caps + 1e-9):
         raise ValueError("allocation exceeded an EV's battery power capability")
     p_bat = -share if discharge else share
-    usable = fleet.capacity_kwh * fleet.soh
+    usable = fleet.spec.capacity_kwh * fleet.soh
     fleet.soc = np.clip(fleet.soc + p_bat / usable, 0.0, 1.0)
-    soh = fleet.soh - fleet.cycle_coeff * np.abs(p_bat) / fleet.capacity_kwh
-    soh -= fleet.calendar_coeff
+    soh = fleet.soh - fleet.spec.cycle_coeff * np.abs(p_bat) / fleet.spec.capacity_kwh
+    soh -= fleet.spec.calendar_coeff
     fleet.soh = np.maximum(soh, 1e-9)
 
     return AllocationResult(

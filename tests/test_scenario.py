@@ -234,6 +234,13 @@ def test_repeated_hub_bus_rejected(tmp_path, hubs, repeated):
         dataclasses.replace(sc, hub_buses=("890", "844", "890"))
 
 
+@pytest.mark.parametrize("bad", [2.5, True, -1])
+def test_fleet_spec_rejects_a_bad_ev_count(bad):
+    """A float or a bool is no EV count (a file's key is parsed by `int`)."""
+    with pytest.raises(ValueError, match=re.escape(f"ev_count must be an int >= 0, not {bad!r}")):
+        FleetSpec(ev_count=bad)
+
+
 def test_build_fleets_split_and_ranges():
     sc = load_scenario("multi_hub_mild")
     fleets = build_fleets(sc, 3)
@@ -245,7 +252,7 @@ def test_build_fleets_split_and_ranges():
         for soc, soh in zip(f.soc, f.soh):
             assert 0.2 <= soc <= 0.9
             assert soh == 0.95
-        assert f.capacity_kwh == 75.0
+        assert f.spec is sc.fleet
 
 
 def test_build_fleets_carry_the_scenario_aging():
@@ -254,7 +261,7 @@ def test_build_fleets_carry_the_scenario_aging():
         sc, fleet=dataclasses.replace(sc.fleet, cycle_coeff=2e-5, calendar_coeff=3e-7)
     )
     for f in build_fleets(sc, 3):
-        assert (f.cycle_coeff, f.calendar_coeff) == (2e-5, 3e-7)
+        assert f.spec is sc.fleet
 
 
 def test_build_fleets_remainder_goes_to_first_hubs():
