@@ -195,6 +195,33 @@ def test_fleet_state_rejects_bad_inputs(kwargs, fragment):
         FleetState(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, fragment",
+    [
+        (dict(capacity_kwh=0.0), "capacity_kwh must be finite and > 0"),
+        (dict(c_rate=-0.5), "c_rate must be finite and > 0"),
+        (dict(eta_inv=0.0), r"eta_inv must be in \(0, 1\]"),
+        (dict(availability=(1.5,) * 24), r"availability fractions must lie in \[0, 1\]"),
+        (dict(availability=()), "availability needs 24 hourly fractions"),
+        *(
+            (dict(**{key: bad}), f"{key} must be finite and >= 0")
+            for key in ("cycle_coeff", "calendar_coeff")
+            for bad in (math.nan, math.inf, -math.inf, -1e-6)
+        ),
+        *(
+            (dict(**{key: bad}), f"{key} must be finite and > 0")
+            for key in ("capacity_kwh", "c_rate")
+            for bad in (math.inf, math.nan)
+        ),
+        (dict(eta_inv=math.nan), r"eta_inv must be in \(0, 1\]"),
+    ],
+)
+def test_fleet_spec_rejects_a_bad_pack(kwargs, fragment):
+    """The pack a hub fleet reads through `spec` is checked where it is built."""
+    with pytest.raises(ValueError, match=fragment):
+        FleetSpec(**kwargs)
+
+
 # ---- array model against the per-EV reference -------------------------
 
 fractions = st.floats(0.0, 1.0)
